@@ -6,9 +6,11 @@ pulled back from quotients of point configurations, and (tensor powers
 of) Hodge eigenbundle determinants on cyclic-cover loci.  Each family
 obeys the same boundary restriction rule, so its degree on an F-curve
 only depends on the four block sums of the weights.  This module holds
-the three four-point degree formulas, the resulting degree vectors, and
-exhaustive checkers for their coincidence and for the factorization rule
-itself.
+the three four-point degree formulas and, built once from them, a cached
+table of each family's degree on every four-point class mod r, which
+every n-point path reads.  On top of it sit the degree vectors, the
+check of the three families' coincidence (a comparison of their tables),
+and an exhaustive checker for the factorization rule itself.
 
 GIT degrees are stored at the scale of the quotient's hyperplane class
 times r (equivalently, the r-th tensor power convention used for the
@@ -19,16 +21,14 @@ trivial bundle, hence degree zero everywhere.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
-from .strata import SetPartition4, enumerate_fcurves
+from .strata import SetPartition4, block_sums, enumerate_fcurves
 from .weights import WeightVector, phi_rule, psi_rule
 
 
@@ -96,6 +96,29 @@ _BASE_FORMULAS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _deg4_table(family: BundleFamily, r: int) -> dict[tuple[int, ...], int]:
+    """The family's degree on every four-point class mod r.
+
+    Keys are the sorted residue 4-tuples in {0, ..., r-1} whose sum is
+    divisible by r; every n-point degree is one lookup here.
+    """
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    return {
+        u: family.degree4(r, u)
+        for u in combinations_with_replacement(range(r), 4)
+        if sum(u) % r == 0
+    }
+
+
+def _four_point_class(
+    r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
+) -> tuple[int, ...]:
+    """Sorted block sums of c mod r: the key into the degree tables."""
+    return tuple(sorted(block_sums(r, c, blocks)))
+
+
 def fcurve_degree(
     family: BundleFamily, r: int, c: Sequence[int], partition: SetPartition4
 ) -> int:
@@ -110,10 +133,10 @@ def fcurve_degree(
         raise ValueError(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
+    table = _deg4_table(family, r)
     if sum(entries) % r != 0:
         return 0
-    induced = [sum(entries[i - 1] for i in block) % r for block in partition.blocks]
-    return family.degree4(r, induced)
+    return table[_four_point_class(r, entries, partition.blocks)]
 
 
 @dataclass(frozen=True)
@@ -141,9 +164,12 @@ def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVecto
     """Evaluate the family's degree on every F-curve, in canonical order."""
     entries = tuple(int(x) for x in c)
     n = len(entries)
-    degrees = {
-        p: fcurve_degree(family, r, entries, p) for p in enumerate_fcurves(n)
-    }
+    table = _deg4_table(family, r)
+    fcurves = enumerate_fcurves(n)
+    if sum(entries) % r != 0:
+        degrees = dict.fromkeys(fcurves, 0)
+    else:
+        degrees = {p: table[_four_point_class(r, entries, p.blocks)] for p in fcurves}
     return DegreeVector(n=n, r=r, degrees=degrees)
 
 
@@ -170,36 +196,16 @@ class MainTheoremReport:
         return not self.mismatches
 
 
-def _admissible_vectors(r: int, n: int) -> list[tuple[int, ...]]:
-    return [c for c in product(range(r), repeat=n) if sum(c) % r == 0]
+def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
+    """Compare the three degree vectors over all admissible weights.
 
-
-def _sweep_chunk(args: tuple[int, list[tuple[frozenset[int], ...]], list[tuple[int, ...]]]):
-    """Check the three-family coincidence over a chunk of weight vectors."""
-    r, block_lists, vectors = args
-    mismatches = []
-    for c in vectors:
-        for blocks in block_lists:
-            u = sorted(sum(c[i - 1] for i in block) % r for block in blocks)
-            total = u[0] + u[1] + u[2] + u[3]
-            if total != 2 * r:
-                cb = git = cyc = 0
-            else:
-                cb = u[0] if u[1] + u[2] >= u[0] + u[3] else r - u[3]
-                git = min(u[0], r - u[3])
-                cyc = git
-            if not cb == git == cyc:
-                mismatches.append((c, blocks, cb, git, cyc))
-    return len(vectors), mismatches
-
-
-def verify_main_theorem(r: int, n: int, jobs: int | None = None) -> MainTheoremReport:
-    """Exhaustively compare the three degree vectors over all admissible weights.
-
-    Iterates over every c in {0, ..., r-1}^n with r dividing the sum and
-    asserts that the conformal block, GIT, and cyclic degree vectors agree
-    on every F-curve.  Any mismatch signals an implementation bug; the
-    report carries them sorted for reproducibility.
+    Covers every c in {0, ..., r-1}^n with r dividing the sum, on every
+    F-curve.  Each such pair reads its degrees from the four-point class
+    of its block sums, and every class occurs (c = (u, 0, ..., 0) on the
+    F-curve 1/2/3/4..n), so comparing the three class tables decides the
+    whole sweep.  Witnesses are enumerated only for disagreeing classes.
+    Any mismatch signals an implementation bug; the report carries them
+    sorted for reproducibility.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
@@ -207,44 +213,28 @@ def verify_main_theorem(r: int, n: int, jobs: int | None = None) -> MainTheoremR
         raise ValueError(f"need n >= 4, got {n}")
     start = time.perf_counter()
     fcurves = enumerate_fcurves(n)
-    block_lists = [p.blocks for p in fcurves]
-    vectors = _admissible_vectors(r, n)
-
-    workers = jobs if jobs is not None else 1
-    if workers > 1 and len(vectors) >= 4 * workers:
-        chunk = (len(vectors) + workers - 1) // workers
-        parts = [vectors[i : i + chunk] for i in range(0, len(vectors), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_sweep_chunk, [(r, block_lists, p) for p in parts]))
-    else:
-        outputs = [_sweep_chunk((r, block_lists, vectors))]
-
-    checked = sum(count for count, _ in outputs)
-    raw = [m for _, ms in outputs for m in ms]
-    raw.sort(key=lambda m: (m[0], tuple(sorted(tuple(sorted(b)) for b in m[1]))))
-    mismatches = [
-        Mismatch(c, SetPartition4(n, blocks), cb, git, cyc)
-        for c, blocks, cb, git, cyc in raw
-    ]
+    cb, git, cyc = (_deg4_table(f, r) for f in BundleFamily)
+    bad = {u for u in cb if not cb[u] == git[u] == cyc[u]}
+    mismatches = []
+    if bad:
+        for c in product(range(r), repeat=n):
+            if sum(c) % r != 0:
+                continue
+            for p in fcurves:
+                u = _four_point_class(r, c, p.blocks)
+                if u in bad:
+                    mismatches.append(Mismatch(c, p, cb[u], git[u], cyc[u]))
+        mismatches.sort(
+            key=lambda m: (m.c, tuple(sorted(tuple(sorted(b)) for b in m.partition.blocks)))
+        )
     return MainTheoremReport(
         r=r,
         n=n,
-        vectors_checked=checked,
+        vectors_checked=r ** (n - 1),
         fcurves_per_vector=len(fcurves),
         mismatches=mismatches,
         elapsed=time.perf_counter() - start,
     )
-
-
-def default_worker_count() -> int:
-    """Worker count from the DIVFACT_WORKERS environment variable, else CPU count."""
-    env = os.environ.get("DIVFACT_WORKERS")
-    if env is not None:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError(f"DIVFACT_WORKERS must be positive, got {env}")
-        return workers
-    return os.cpu_count() or 1
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +278,7 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
     ambient degree on the corresponding ambient F-curve, obtained by
     merging the opposite side into the block carrying the attaching point.
     """
+    table = _deg4_table(BundleFamily.GIT, r)
     entries = tuple(int(x) for x in c)
     n = len(entries)
     wv = WeightVector(r, tuple(e % r for e in entries))
@@ -303,18 +294,12 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
         side_weights, side_trivial = (
             (c_phi, phi_trivial) if on_inside else (c_psi, psi_trivial)
         )
-        if side_trivial:
-            side_deg = 0
-        else:
-            side_deg = deg4_git(
-                r, [sum(side_weights[i - 1] for i in block) % r for block in side_blocks]
-            )
-        if ambient_trivial:
-            ambient_deg = 0
-        else:
-            ambient_deg = deg4_git(
-                r, [sum(entries[i - 1] for i in block) % r for block in ambient_blocks]
-            )
+        side_deg = (
+            0 if side_trivial else table[_four_point_class(r, side_weights, side_blocks)]
+        )
+        ambient_deg = (
+            0 if ambient_trivial else table[_four_point_class(r, entries, ambient_blocks)]
+        )
         if side_deg != ambient_deg:
             return False
     return True

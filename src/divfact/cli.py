@@ -17,7 +17,6 @@ from typing import Sequence
 from .bundles import (
     BundleFamily,
     check_git_factorization,
-    default_worker_count,
     degree_vector,
     fcurve_degree,
     verify_main_theorem,
@@ -106,12 +105,12 @@ def _cmd_degree(args) -> tuple[dict, int]:
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     partition = _parse_partition("--partition", args.partition, len(weights))
-    wv = WeightVector(args.r, tuple(w % args.r for w in weights))
+    deg = fcurve_degree(family, args.r, weights, partition)
     if sum(weights) % args.r == 0:
+        wv = WeightVector(args.r, tuple(w % args.r for w in weights))
         induced = list(induce_four_weights(wv, partition))
     else:
         induced = None
-    deg = fcurve_degree(family, args.r, weights, partition)
     report = {
         "command": "degree",
         "parameters": {
@@ -149,8 +148,7 @@ def _cmd_verify_main(args) -> tuple[dict, int]:
         raise UsageError("--r", f"need r >= 2, got {args.r}")
     if args.n < 4:
         raise UsageError("--n", f"need n >= 4, got {args.n}")
-    jobs = args.jobs if args.jobs is not None else default_worker_count()
-    outcome = verify_main_theorem(args.r, args.n, jobs=jobs)
+    outcome = verify_main_theorem(args.r, args.n)
     print(
         f"verify-main: {outcome.vectors_checked} vectors x "
         f"{outcome.fcurves_per_vector} F-curves in {outcome.elapsed:.2f}s",
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-main", help="exhaustive three-family comparison")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(handler=_cmd_verify_main)
 
     p = sub.add_parser("factor-check", help="GIT factorization along one cut")
@@ -387,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.table)

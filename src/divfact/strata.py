@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from .weights import WeightVector
 
@@ -142,7 +143,11 @@ def induce_four_weights(c: WeightVector, partition: SetPartition4) -> WeightVect
         )
     if c.total() % c.r != 0:
         raise ValueError("weight sum must be divisible by r")
-    sums = tuple(
-        sum(c[i - 1] for i in block) % c.r for block in partition.blocks
-    )
-    return WeightVector(c.r, sums)
+    return WeightVector(c.r, block_sums(c.r, c, partition.blocks))
+
+
+def block_sums(
+    r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
+) -> tuple[int, ...]:
+    """Sum the weights c over each block of 1-based indices, mod r, in block order."""
+    return tuple(sum(c[i - 1] for i in block) % r for block in blocks)

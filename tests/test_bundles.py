@@ -3,8 +3,10 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divfact import bundles
 from divfact.bundles import (
     BundleFamily,
+    Mismatch,
     check_git_factorization,
     deg4_cb,
     deg4_cyc,
@@ -135,11 +137,34 @@ class TestVerifyMainTheorem:
         assert report.vectors_checked == 125
         assert report.ok
 
-    def test_parallel_matches_serial(self):
-        serial = verify_main_theorem(3, 5, jobs=1)
-        parallel = verify_main_theorem(3, 5, jobs=2)
-        assert serial.vectors_checked == parallel.vectors_checked
-        assert serial.mismatches == parallel.mismatches == []
+    @pytest.mark.parametrize("family", list(BundleFamily))
+    def test_planted_fault_matches_exhaustive_reference(self, family, monkeypatch):
+        # shift one four-point class of one family; the class check must
+        # report exactly the (c, F-curve) pairs an exhaustive sweep finds
+        base = bundles._BASE_FORMULAS[family]
+
+        def shifted(r, c):
+            return base(r, c) + (1 if sorted(c) == [1, 1, 2, 2] else 0)
+
+        bundles._deg4_table.cache_clear()
+        monkeypatch.setitem(bundles._BASE_FORMULAS, family, shifted)
+        try:
+            report = verify_main_theorem(3, 5)
+            reference = []
+            for c in product(range(3), repeat=5):
+                if sum(c) % 3:
+                    continue
+                for p in enumerate_fcurves(5):
+                    cb, git, cyc = (fcurve_degree(f, 3, c, p) for f in BundleFamily)
+                    if not cb == git == cyc:
+                        reference.append(Mismatch(c, p, cb, git, cyc))
+        finally:
+            bundles._deg4_table.cache_clear()
+        reference.sort(
+            key=lambda m: (m.c, tuple(sorted(tuple(sorted(b)) for b in m.partition.blocks)))
+        )
+        assert reference
+        assert report.mismatches == reference
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

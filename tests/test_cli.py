@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import divfact.cli as cli
 from divfact.bundles import MainTheoremReport, Mismatch
@@ -67,18 +73,13 @@ class TestDegvec:
 
 class TestVerifyMain:
     def test_small_sweep(self, capsys):
-        code, report = run_json(capsys, "verify-main", "--r", "2", "--n", "5", "--jobs", "1")
+        code, report = run_json(capsys, "verify-main", "--r", "2", "--n", "5")
         assert code == 0
         assert report["status"] == "ok"
         rec = report["results"][0]
         assert rec["vectors_checked"] == 16
         assert rec["fcurves_per_vector"] == 10
         assert rec["mismatches"] == []
-
-    def test_output_independent_of_jobs(self, capsys):
-        _, first = run(capsys, "verify-main", "--r", "3", "--n", "5", "--jobs", "1")
-        _, second = run(capsys, "verify-main", "--r", "3", "--n", "5", "--jobs", "2")
-        assert first == second
 
     def test_r_guard(self, capsys):
         assert cli.main(["verify-main", "--r", "1", "--n", "5"]) == 2
@@ -211,3 +212,28 @@ class TestOutputShape:
         assert code == 0
         assert "status: ok" in out
         assert "genus=1" in out
+
+
+class TestBadR:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degree", "--family", "cb", "--r", "0", "--weights", "1,1,1,1", "--partition", "1/2/3/4"],
+            ["factor-check", "--r", "0", "--weights", "1,1,1,1", "--cut", "1,2"],
+            ["degvec", "--family", "cb", "--r", "-3", "--weights", "1,1,1,1"],
+            ["degree", "--family", "git", "--r", "-1", "--weights", "1,1,1,1", "--partition", "1/2/3/4"],
+        ],
+    )
+    def test_usage_error_without_traceback(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divfact.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
