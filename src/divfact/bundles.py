@@ -6,11 +6,11 @@ pulled back from quotients of point configurations, and (tensor powers
 of) Hodge eigenbundle determinants on cyclic-cover loci.  Each family
 obeys the same boundary restriction rule, so its degree on an F-curve
 only depends on the four block sums of the weights.  This module holds
-the three four-point degree formulas and, built once from them, a cached
-table of each family's degree on every four-point class mod r, which
-every n-point path reads.  On top of it sit the degree vectors, the
-check of the three families' coincidence (a comparison of their tables),
-and an exhaustive checker for the factorization rule itself.
+the three four-point degree formulas and a memo of each family's degree
+on one four-point class mod r, through which every n-point path reads.
+On top of it sit the degree vectors, the check of the three families'
+coincidence (a comparison of their degrees on every class), and an
+exhaustive checker for the factorization rule itself.
 
 GIT degrees are stored at the scale of the quotient's hyperplane class
 times r (equivalently, the r-th tensor power convention used for the
@@ -41,9 +41,13 @@ class BundleFamily(Enum):
         return _BASE_FORMULAS[self](r, c)
 
 
-def _check_base_input(r: int, c: Sequence[int]) -> list[int]:
+def _check_modulus(r: int) -> None:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+
+
+def _check_base_input(r: int, c: Sequence[int]) -> list[int]:
+    _check_modulus(r)
     vals = sorted(int(x) for x in c)
     if len(vals) != 4:
         raise ValueError(f"need exactly 4 weights, got {len(vals)}")
@@ -96,17 +100,19 @@ _BASE_FORMULAS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _deg4_table(family: BundleFamily, r: int) -> dict[tuple[int, ...], int]:
-    """The family's degree on every four-point class mod r.
+@lru_cache(maxsize=4096)
+def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
+    """The family's degree on one class u: sorted residues mod r, sum 0 mod r."""
+    return family.degree4(r, u)
 
-    Keys are the sorted residue 4-tuples in {0, ..., r-1} whose sum is
-    divisible by r; every n-point degree is one lookup here.
+
+def _deg4_table(family: BundleFamily, r: int) -> dict[tuple[int, ...], int]:
+    """The family's degree on every class (C(r+3, 4) candidates).
+
+    Only verify_main_theorem builds it; single queries use _deg4_class.
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
     return {
-        u: family.degree4(r, u)
+        u: _deg4_class(family, r, u)
         for u in combinations_with_replacement(range(r), 4)
         if sum(u) % r == 0
     }
@@ -115,8 +121,17 @@ def _deg4_table(family: BundleFamily, r: int) -> dict[tuple[int, ...], int]:
 def _four_point_class(
     r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
 ) -> tuple[int, ...]:
-    """Sorted block sums of c mod r: the key into the degree tables."""
+    """Sorted block sums of c mod r: the four-point class of c on the blocks."""
     return tuple(sorted(block_sums(r, c, blocks)))
+
+
+def _class_degree(
+    family: BundleFamily, r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
+) -> int:
+    """Degree on the F-curve with these blocks; 0 if r does not divide |c|."""
+    if sum(c) % r != 0:
+        return 0
+    return _deg4_class(family, r, _four_point_class(r, c, blocks))
 
 
 def fcurve_degree(
@@ -133,10 +148,8 @@ def fcurve_degree(
         raise ValueError(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
-    table = _deg4_table(family, r)
-    if sum(entries) % r != 0:
-        return 0
-    return table[_four_point_class(r, entries, partition.blocks)]
+    _check_modulus(r)
+    return _class_degree(family, r, entries, partition.blocks)
 
 
 @dataclass(frozen=True)
@@ -164,12 +177,8 @@ def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVecto
     """Evaluate the family's degree on every F-curve, in canonical order."""
     entries = tuple(int(x) for x in c)
     n = len(entries)
-    table = _deg4_table(family, r)
-    fcurves = enumerate_fcurves(n)
-    if sum(entries) % r != 0:
-        degrees = dict.fromkeys(fcurves, 0)
-    else:
-        degrees = {p: table[_four_point_class(r, entries, p.blocks)] for p in fcurves}
+    _check_modulus(r)
+    degrees = {p: _class_degree(family, r, entries, p.blocks) for p in enumerate_fcurves(n)}
     return DegreeVector(n=n, r=r, degrees=degrees)
 
 
@@ -278,7 +287,7 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
     ambient degree on the corresponding ambient F-curve, obtained by
     merging the opposite side into the block carrying the attaching point.
     """
-    table = _deg4_table(BundleFamily.GIT, r)
+    _check_modulus(r)
     entries = tuple(int(x) for x in c)
     n = len(entries)
     wv = WeightVector(r, tuple(e % r for e in entries))
@@ -286,20 +295,11 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
 
     c_phi = tuple(phi_rule(wv, inside))
     c_psi = tuple(psi_rule(wv, inside))
-    ambient_trivial = sum(entries) % r != 0
-    phi_trivial = sum(c_phi) % r != 0
-    psi_trivial = sum(c_psi) % r != 0
+    git = BundleFamily.GIT
 
     for on_inside, side_blocks, ambient_blocks in _cut_restriction_pairs(n, inside):
-        side_weights, side_trivial = (
-            (c_phi, phi_trivial) if on_inside else (c_psi, psi_trivial)
-        )
-        side_deg = (
-            0 if side_trivial else table[_four_point_class(r, side_weights, side_blocks)]
-        )
-        ambient_deg = (
-            0 if ambient_trivial else table[_four_point_class(r, entries, ambient_blocks)]
-        )
-        if side_deg != ambient_deg:
+        side_weights = c_phi if on_inside else c_psi
+        side_deg = _class_degree(git, r, side_weights, side_blocks)
+        if side_deg != _class_degree(git, r, entries, ambient_blocks):
             return False
     return True

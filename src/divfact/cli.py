@@ -81,6 +81,11 @@ def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
         raise UsageError(flag, str(exc))
 
 
+def _positive_r(r: int) -> None:
+    if r < 1:
+        raise UsageError("--r", f"need r >= 1, got {r}")
+
+
 def _family(flag: str, name: str) -> BundleFamily:
     try:
         return BundleFamily(name.lower())
@@ -102,6 +107,7 @@ def _emit(report: dict, table: bool) -> None:
 
 
 def _cmd_degree(args) -> tuple[dict, int]:
+    _positive_r(args.r)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     partition = _parse_partition("--partition", args.partition, len(weights))
@@ -126,6 +132,7 @@ def _cmd_degree(args) -> tuple[dict, int]:
 
 
 def _cmd_degvec(args) -> tuple[dict, int]:
+    _positive_r(args.r)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     if len(weights) < 4:
@@ -180,6 +187,7 @@ def _cmd_verify_main(args) -> tuple[dict, int]:
 
 
 def _cmd_factor_check(args) -> tuple[dict, int]:
+    _positive_r(args.r)
     weights = _parse_ints("--weights", args.weights)
     cut = _parse_ints("--cut", args.cut)
     n = len(weights)
@@ -384,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.table)

@@ -81,6 +81,16 @@ class TestFCurveDegree:
         for fam in BundleFamily:
             assert fcurve_degree(fam, 3, (1, 1, 1, 1), p) == 0
 
+    @pytest.mark.parametrize("r", [0, -1, -3])
+    def test_nonpositive_r_rejected(self, r):
+        p = enumerate_fcurves(4)[0]
+        with pytest.raises(ValueError):
+            fcurve_degree(BundleFamily.CB, r, (1, 1, 1, 1), p)
+        with pytest.raises(ValueError):
+            degree_vector(BundleFamily.GIT, r, (1, 1, 1, 1))
+        with pytest.raises(ValueError):
+            check_git_factorization(r, (1, 1, 1, 1), [1, 2])
+
 
 class TestDegreeVector:
     def test_single_fcurve(self):
@@ -146,7 +156,7 @@ class TestVerifyMainTheorem:
         def shifted(r, c):
             return base(r, c) + (1 if sorted(c) == [1, 1, 2, 2] else 0)
 
-        bundles._deg4_table.cache_clear()
+        bundles._deg4_class.cache_clear()
         monkeypatch.setitem(bundles._BASE_FORMULAS, family, shifted)
         try:
             report = verify_main_theorem(3, 5)
@@ -159,7 +169,7 @@ class TestVerifyMainTheorem:
                     if not cb == git == cyc:
                         reference.append(Mismatch(c, p, cb, git, cyc))
         finally:
-            bundles._deg4_table.cache_clear()
+            bundles._deg4_class.cache_clear()
         reference.sort(
             key=lambda m: (m.c, tuple(sorted(tuple(sorted(b)) for b in m.partition.blocks)))
         )

@@ -1,12 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import pytest
 
 import divfact.cli as cli
+from divfact import bundles
 from divfact.bundles import MainTheoremReport, Mismatch
 from divfact.strata import SetPartition4
 
@@ -224,16 +222,38 @@ class TestBadR:
             ["degree", "--family", "git", "--r", "-1", "--weights", "1,1,1,1", "--partition", "1/2/3/4"],
         ],
     )
-    def test_usage_error_without_traceback(self, argv):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "divfact.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
+    def test_usage_error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --r: ")
+
+
+class TestLargeR:
+    def test_single_queries_skip_the_class_table(self, capsys, monkeypatch):
+        # a full table at r = 1000 has ~4e10 candidate classes; single
+        # queries must look up only the classes they meet
+        def no_table(family, r):
+            raise AssertionError("single query built the full class table")
+
+        monkeypatch.setattr(bundles, "_deg4_table", no_table)
+        start = time.perf_counter()
+        code, report = run_json(
+            capsys,
+            "degree", "--family", "cb", "--r", "1000",
+            "--weights", "500,500,500,500", "--partition", "1/2/3/4",
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert code == 0
+        assert report["results"][0]["degree"] == 500
+        code, report = run_json(
+            capsys, "degvec", "--family", "git", "--r", "1000", "--weights", "500,500,500,500,0"
+        )
+        assert code == 0
+        # 500 on the four F-curves that pair point 5 with another point
+        assert sorted(rec["degree"] for rec in report["results"]) == [0] * 6 + [500] * 4
+        code, report = run_json(
+            capsys, "factor-check", "--r", "1000", "--weights", "500,500,500,500", "--cut", "1,2"
+        )
+        assert code == 0
+        assert report["results"][0]["consistent"]
+        assert time.perf_counter() - start < 5.0
