@@ -81,9 +81,9 @@ def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
         raise UsageError(flag, str(exc))
 
 
-def _positive_r(r: int) -> None:
-    if r < 1:
-        raise UsageError("--r", f"need r >= 1, got {r}")
+def _at_least(flag: str, value: int, lowest: int) -> None:
+    if value < lowest:
+        raise UsageError(flag, f"need {flag[2:]} >= {lowest}, got {value}")
 
 
 def _family(flag: str, name: str) -> BundleFamily:
@@ -107,7 +107,7 @@ def _emit(report: dict, table: bool) -> None:
 
 
 def _cmd_degree(args) -> tuple[dict, int]:
-    _positive_r(args.r)
+    _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     partition = _parse_partition("--partition", args.partition, len(weights))
@@ -132,7 +132,7 @@ def _cmd_degree(args) -> tuple[dict, int]:
 
 
 def _cmd_degvec(args) -> tuple[dict, int]:
-    _positive_r(args.r)
+    _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     if len(weights) < 4:
@@ -151,10 +151,8 @@ def _cmd_degvec(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_main(args) -> tuple[dict, int]:
-    if args.r < 2:
-        raise UsageError("--r", f"need r >= 2, got {args.r}")
-    if args.n < 4:
-        raise UsageError("--n", f"need n >= 4, got {args.n}")
+    _at_least("--r", args.r, 2)
+    _at_least("--n", args.n, 4)
     outcome = verify_main_theorem(args.r, args.n)
     print(
         f"verify-main: {outcome.vectors_checked} vectors x "
@@ -187,7 +185,7 @@ def _cmd_verify_main(args) -> tuple[dict, int]:
 
 
 def _cmd_factor_check(args) -> tuple[dict, int]:
-    _positive_r(args.r)
+    _at_least("--r", args.r, 1)
     weights = _parse_ints("--weights", args.weights)
     cut = _parse_ints("--cut", args.cut)
     n = len(weights)
@@ -243,7 +241,11 @@ def _cmd_cover(args) -> tuple[dict, int]:
 
 
 def _cmd_tableaux(args) -> tuple[dict, int]:
+    _at_least("--d", args.d, 0)
+    _at_least("--k", args.k, 1 if args.restrict else 0)
     content = _parse_ints("--content", args.content)
+    for x in content:
+        _at_least("--content", x, 0)
     if sum(content) != args.k * (args.d + 1):
         raise UsageError(
             "--content",

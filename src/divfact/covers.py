@@ -1,4 +1,4 @@
-"""Numerics of cyclic covers of the line: genus, degeneration, Hodge ranks.
+"""Numerics of cyclic covers of the line: genus and degeneration.
 
 A degree-r cyclic cover branched over weighted points p_i with weights
 c_i (r dividing the total weight) has genus determined by
@@ -10,8 +10,8 @@ When the base line degenerates into two lines glued at a node, the
 admissible-covers limit glues two cyclic covers whose branch weights are
 the original ones plus an attaching weight equal to the opposite side's
 sum, at s = gcd(side sum, r) points over the node.  Only the numerical
-bookkeeping of this picture is implemented: weight labels, genera, the
-point count s, and the rank split of the pulled-back Hodge bundle.
+bookkeeping of this picture is implemented: weight labels, genera and
+the point count s.
 """
 
 from __future__ import annotations
@@ -148,16 +148,3 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
         c_prime=c_prime, c_double_prime=c_double_prime, s=s, g=g, g1=g1, g2=g2
     )
 
-
-def hodge_rank_split(g1: int, g2: int, s: int) -> tuple[int, int, int]:
-    """Rank decomposition of the Hodge bundle pulled back to the glued locus.
-
-    Gluing genus-g1 and genus-g2 curves at s points gives genus
-    g = g1 + g2 + s - 1, and the rank-g Hodge bundle pulls back to the
-    two sides' Hodge bundles plus s - 1 trivial summands.
-    """
-    if g1 < 0 or g2 < 0:
-        raise ValueError(f"genera must be nonnegative, got g1={g1}, g2={g2}")
-    if s < 1:
-        raise ValueError(f"need at least one gluing point, got s={s}")
-    return (g1, g2, s - 1)

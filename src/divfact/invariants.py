@@ -74,6 +74,8 @@ def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
     Returns the empty list when none exist.  Enumeration is by
     lexicographic backtracking over cells, so the order is deterministic.
     """
+    if d < 0 or k < 0:
+        raise ValueError(f"need d >= 0 and k >= 0, got d={d}, k={k}")
     n = len(content)
     remaining = [int(x) for x in content]
     if any(x < 0 for x in remaining):
@@ -193,15 +195,6 @@ def evaluate_tableau(t: Tableau, n: int) -> Poly:
         if col[-1] > n:
             raise ValueError(f"column {col} has entries beyond n={n}")
     return tableau_polynomial(t.columns, generic_matrix(t.d, n))
-
-
-def coordinate_assignment(cfg: "PointConfiguration") -> dict[tuple[int, int], Fraction]:
-    """Variable assignment x(i, j) -> j-th point's i-th coordinate."""
-    return {
-        (i, j): cfg.points[j - 1][i]
-        for j in range(1, len(cfg.points) + 1)
-        for i in range(cfg.d + 1)
-    }
 
 
 # ---------------------------------------------------------------------------

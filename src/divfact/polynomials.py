@@ -3,14 +3,13 @@
 Variables are arbitrary hashable keys (coordinate matrices use (row,
 column) pairs).  A monomial is a tuple of (variable, exponent) pairs
 sorted by variable; terms are kept in a dict with no zero coefficients.
-The monomial order is graded lexicographic with smaller variable keys
-taking priority.
+Terms print in graded lexicographic order with smaller variable keys
+taking priority; no computation depends on an order of terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cmp_to_key
+from itertools import combinations
 from typing import Hashable, Mapping
 
 Var = Hashable
@@ -34,20 +33,14 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _grlex_cmp(a: Monomial, b: Monomial) -> int:
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = dict(a), dict(b)
-    for v in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(v, 0), ib.get(v, 0)
-        if ea != eb:
-            # larger power of an earlier variable wins
-            return 1 if ea > eb else -1
-    return 0
-
-
-_grlex_key = cmp_to_key(_grlex_cmp)
+def _add_product(
+    out: dict[Monomial, int], a: Mapping[Monomial, int], b: Mapping[Monomial, int], sign: int
+) -> None:
+    """Add sign * a * b, given as term dicts, into the term dict out."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + sign * c1 * c2
 
 
 class Poly:
@@ -77,17 +70,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_grlex_key)
-        return m, self.terms[m]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -129,80 +111,18 @@ class Poly:
                 return Poly.zero()
             return Poly({m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
+        _add_product(out, self.terms, other.terms, 1)
         return Poly(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Divide by a polynomial that divides exactly; raises otherwise."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        quotient: dict[Monomial, int] = {}
-        remainder = self
-        dm, dc = divisor.leading_term()
-        dvars = dict(dm)
-        while not remainder.is_zero():
-            rm, rc = remainder.leading_term()
-            rvars = dict(rm)
-            if rc % dc != 0 or any(rvars.get(v, 0) < e for v, e in dvars.items()):
-                raise ValueError("division is not exact")
-            qm = tuple(
-                sorted((v, e) for v, e in
-                       ((v, rvars.get(v, 0) - dvars.get(v, 0)) for v in set(rvars) | set(dvars))
-                       if e != 0)
-            )
-            if any(e < 0 for _, e in qm):
-                raise ValueError("division is not exact")
-            qc = rc // dc
-            quotient[qm] = quotient.get(qm, 0) + qc
-            remainder = remainder - Poly({qm: qc}) * divisor
-        return Poly(quotient)
-
-    def substitute(self, mapping: Mapping[Var, "Poly | int"]) -> "Poly":
-        """Replace variables by polynomials or integers; others stay symbolic."""
-        result = Poly.zero()
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v, e in m:
-                if v in mapping:
-                    repl = mapping[v]
-                    if isinstance(repl, int):
-                        repl = Poly.const(repl)
-                    term = term * repl**e
-                else:
-                    term = term * Poly({((v, e),): 1})
-            result = result + term
-        return result
-
-    def evaluate(self, assignment: Mapping[Var, Fraction | int]) -> Fraction:
-        """Evaluate with every variable assigned an exact rational value."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            value = Fraction(c)
-            for v, e in m:
-                value *= Fraction(assignment[v]) ** e
-            total += value
-        return total
-
     def _sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        # graded lex: higher degree first, then the larger power of the
+        # earliest variable where two monomials differ
+        return sorted(
+            self.terms.items(),
+            key=lambda t: (-_mono_degree(t[0]), tuple((v, -e) for v, e in t[0])),
+        )
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -228,55 +148,28 @@ def _as_poly(entry: "Poly | int") -> Poly:
     return Poly.const(entry) if isinstance(entry, int) else entry
 
 
-def _det_cofactor(rows: list[list[Poly]]) -> Poly:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = Poly.zero()
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _det_cofactor(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def _det_bareiss(rows: list[list[Poly]]) -> Poly:
-    # fraction-free elimination; every division is exact over Z[x]
-    m = [row[:] for row in rows]
-    size = len(m)
-    sign = 1
-    prev = Poly.const(1)
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, size) if not m[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return Poly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
 def determinant(rows: list[list["Poly | int"]]) -> Poly:
-    """Determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials, without division.
 
-    Cofactor expansion up to 4x4, fraction-free elimination above.
+    Laplace expansion from the bottom row up: after row i, `minors` maps
+    each set of size - i columns to the minor on rows i, ..., size - 1
+    and those columns (the bottom row's 1 x 1 minors are its entries), so
+    every minor is computed once and its products are summed into one
+    term dict.
     """
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("matrix must be square and nonempty")
-    entries = [[_as_poly(e) for e in row] for row in rows]
-    if size <= 4:
-        return _det_cofactor(entries)
-    return _det_bareiss(entries)
+    minors = {(j,): _as_poly(e) for j, e in enumerate(rows[-1])}
+    for i in range(size - 2, -1, -1):
+        row = [_as_poly(e) for e in rows[i]]
+        expanded: dict[tuple[int, ...], Poly] = {}
+        for cols in combinations(range(size), size - i):
+            out: dict[Monomial, int] = {}
+            for pos, j in enumerate(cols):
+                if row[j].terms:
+                    rest = minors[cols[:pos] + cols[pos + 1 :]]
+                    _add_product(out, row[j].terms, rest.terms, -1 if pos % 2 else 1)
+            expanded[cols] = Poly(out)
+        minors = expanded
+    return minors[tuple(range(size))]

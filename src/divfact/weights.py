@@ -24,10 +24,9 @@ Rational = Fraction | int
 class WeightVector:
     """Integer weights mod r attached to an ordered tuple of points.
 
-    Entries live in {0, ..., r}; canonical form keeps them in
-    {0, ..., r-1}.  The value r is permitted because one of the two
-    restriction rules represents the residue 0 by r on its attaching
-    point.
+    Entries normally lie in {0, ..., r-1}.  The value r is permitted
+    because one of the two restriction rules represents the residue 0 by
+    r on its attaching point.
     """
 
     r: int
@@ -55,10 +54,6 @@ class WeightVector:
 
     def total(self) -> int:
         return sum(self.entries)
-
-    def canonical(self) -> "WeightVector":
-        """Reduce every entry into {0, ..., r-1}."""
-        return WeightVector(self.r, tuple(e % self.r for e in self.entries))
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,23 @@ class TestBadR:
         assert captured.err.startswith("error: --r: ")
 
 
+class TestBadTableauxInput:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["tableaux", "--d", "1", "--k", "0", "--content", "0,0,0,0", "--restrict", "--n1", "2", "--d1", "5"], "--k"),
+            (["tableaux", "--d", "-1", "--k", "0", "--content", "0"], "--d"),
+            (["tableaux", "--d", "1", "--k", "2", "--content=-1,3,1,1"], "--content"),
+            (["tableaux", "--d=-2", "--k=-1", "--content", "1"], "--d"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ")
+
+
 class TestLargeR:
     def test_single_queries_skip_the_class_table(self, capsys, monkeypatch):
         # a full table at r = 1000 has ~4e10 candidate classes; single

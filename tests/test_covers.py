@@ -10,7 +10,6 @@ from divfact.covers import (
     DisconnectedCoverWarning,
     degenerate,
     genus,
-    hodge_rank_split,
 )
 from divfact.weights import WeightVector, phi_rule, psi_rule
 
@@ -119,25 +118,6 @@ class TestDegenerate:
                 assert data.c_prime[:-1] == phi.entries[:-1]
                 assert (data.c_prime[-1] - phi[-1]) % r == 0
                 assert data.c_double_prime == psi.entries
-
-
-class TestHodgeRankSplit:
-    def test_examples(self):
-        assert hodge_rank_split(2, 2, 2) == (2, 2, 1)
-        assert sum(hodge_rank_split(2, 2, 2)) == 5
-        assert hodge_rank_split(3, 2, 4) == (3, 2, 3)
-        assert sum(hodge_rank_split(3, 2, 4)) == 8
-        assert hodge_rank_split(0, 0, 1) == (0, 0, 0)
-
-    def test_total_is_glued_genus(self):
-        for g1, g2, s in product(range(4), range(4), range(1, 5)):
-            assert sum(hodge_rank_split(g1, g2, s)) == g1 + g2 + s - 1
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            hodge_rank_split(-1, 0, 1)
-        with pytest.raises(ValueError):
-            hodge_rank_split(0, 0, 0)
 
 
 @settings(deadline=None)

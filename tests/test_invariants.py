@@ -11,7 +11,6 @@ from divfact.invariants import (
     Tableau,
     attach_block_matrix,
     attach_configuration,
-    coordinate_assignment,
     enumerate_tableaux,
     evaluate_tableau,
     generic_matrix,
@@ -84,6 +83,13 @@ class TestEnumerateTableaux:
         with pytest.raises(ValueError):
             enumerate_tableaux(1, 2, (1, 1, 1))
 
+    def test_negative_shape_rejected(self):
+        # both contents sum to k*(d+1), so only the sign check catches them
+        with pytest.raises(ValueError):
+            enumerate_tableaux(-1, 0, (0,))
+        with pytest.raises(ValueError):
+            enumerate_tableaux(-2, -1, (1,))
+
     def test_matches_brute_force(self):
         cases = [
             (1, 2, (1, 1, 1, 1)),
@@ -127,11 +133,12 @@ class TestEvaluateTableau:
         cfg = PointConfiguration(
             1, ((1, 2), (1, 2), (1, 3), (1, 5))
         )
-        values = coordinate_assignment(cfg)
-        with_12 = evaluate_tableau(Tableau(1, 2, ((1, 2), (3, 4))), 4)
-        without = evaluate_tableau(Tableau(1, 2, ((1, 3), (2, 4))), 4)
-        assert with_12.evaluate(values) == 0
-        assert without.evaluate(values) != 0
+        # integer homogeneous coordinates, one point per column
+        matrix = [
+            [Poly.const(int(p[i])) for p in cfg.points] for i in range(cfg.d + 1)
+        ]
+        assert tableau_polynomial(((1, 2), (3, 4)), matrix).is_zero()
+        assert not tableau_polynomial(((1, 3), (2, 4)), matrix).is_zero()
 
     def test_entries_beyond_n_rejected(self):
         with pytest.raises(ValueError):

