@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .strata import SetPartition4, block_sums, enumerate_fcurves
+from .strata import SetPartition4, block_sums, enumerate_fcurves, walk_fcurves
 from .weights import WeightVector, phi_rule, psi_rule
 
 
@@ -173,13 +173,31 @@ class DegreeVector:
         return self.degrees.items()
 
 
+def degree_stream(
+    family: BundleFamily, r: int, c: Sequence[int]
+) -> Iterator[tuple[str, int]]:
+    """(label, degree) on every F-curve, in canonical order, as walked.
+
+    Each degree reads the class of the walk's running block sums; nothing
+    is kept per F-curve, so memory stays flat in n.  Every degree is 0
+    when r does not divide |c| (trivial bundle convention).
+    """
+    entries = tuple(int(x) for x in c)
+    _check_modulus(r)
+    walk = walk_fcurves(r, entries)
+    if sum(entries) % r != 0:
+        return ((label, 0) for label, _ in walk)
+    return ((label, _deg4_class(family, r, tuple(sorted(sums)))) for label, sums in walk)
+
+
 def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVector:
     """Evaluate the family's degree on every F-curve, in canonical order."""
     entries = tuple(int(x) for x in c)
     n = len(entries)
-    _check_modulus(r)
-    degrees = {p: _class_degree(family, r, entries, p.blocks) for p in enumerate_fcurves(n)}
-    return DegreeVector(n=n, r=r, degrees=degrees)
+    degrees = degree_stream(family, r, entries)
+    return DegreeVector(
+        n=n, r=r, degrees=dict(zip(enumerate_fcurves(n), (d for _, d in degrees)))
+    )
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every command emits one JSON document on stdout with the shape
-{command, parameters, results, status} and deterministic key order;
-timing and log lines go to stderr.  Exit codes: 0 success, 1 a
-verification found a mismatch, 2 usage or parse error.
+{command, parameters, results, status} and deterministic key order,
+written in chunks as its results are produced; timing and log lines go
+to stderr.  Exit codes: 0 success, 1 a verification found a mismatch,
+2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bundles import (
     BundleFamily,
     check_git_factorization,
-    degree_vector,
+    degree_stream,
     fcurve_degree,
     verify_main_theorem,
 )
@@ -29,7 +30,7 @@ from .invariants import (
     verify_restriction_theorem,
 )
 from .strata import SetPartition4, induce_four_weights
-from .weights import Linearization, WeightVector
+from .weights import Linearization, RangeConditionError, WeightVector
 
 
 class UsageError(Exception):
@@ -86,6 +87,13 @@ def _at_least(flag: str, value: int, lowest: int) -> None:
         raise UsageError(flag, f"need {flag[2:]} >= {lowest}, got {value}")
 
 
+def _between(flag: str, value: int, lowest: int, highest: int) -> None:
+    if not lowest <= value <= highest:
+        raise UsageError(
+            flag, f"need {lowest} <= {flag[2:]} <= {highest}, got {value}"
+        )
+
+
 def _family(flag: str, name: str) -> BundleFamily:
     try:
         return BundleFamily(name.lower())
@@ -93,17 +101,61 @@ def _family(flag: str, name: str) -> BundleFamily:
         raise UsageError(flag, f"unknown family {name!r}; choose cb, git, or cyc")
 
 
+_CHUNK = 4096  # pieces of output per write to stdout
+
+
 def _emit(report: dict, table: bool) -> None:
+    """Write the report to stdout, its results in chunks as they come.
+
+    The text is json.dumps(report, sort_keys=True, indent=2) or the
+    --table rendering, and a final newline.  report["results"] may be any
+    iterable; a record is a dict, or a string already rendered for the
+    chosen format (degvec renders its own).
+    """
+    records = report["results"]
     if table:
-        print(f"command: {report['command']}")
-        for key in sorted(report["parameters"]):
-            print(f"  {key} = {report['parameters'][key]}")
-        for record in report["results"]:
-            line = "  ".join(f"{k}={record[k]}" for k in sorted(record))
-            print(line)
-        print(f"status: {report['status']}")
+        params = report["parameters"]
+        head = f"command: {report['command']}\n" + "".join(
+            f"  {key} = {params[key]}\n" for key in sorted(params)
+        )
+        body: Iterable[str] = (
+            (rec if isinstance(rec, str) else "  ".join(f"{k}={rec[k]}" for k in sorted(rec)))
+            + "\n"
+            for rec in records
+        )
+        tail = f"status: {report['status']}\n"
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        text = json.dumps({**report, "results": []}, sort_keys=True, indent=2)
+        head, _, tail = text.partition('"results": []')
+        head += '"results": '
+        body = _json_list(records)
+        tail += "\n"
+    out = sys.stdout
+    chunk = [head]
+    for piece in body:
+        chunk.append(piece)
+        if len(chunk) == _CHUNK:
+            out.write("".join(chunk))
+            chunk.clear()
+    chunk.append(tail)
+    out.write("".join(chunk))
+
+
+def _json_list(records: Iterable) -> Iterator[str]:
+    """The results list as json.dumps(report, indent=2) writes it."""
+    lead = "["
+    for record in records:
+        if not isinstance(record, str):
+            record = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
+        yield lead + "\n    " + record
+        lead = ","
+    yield "]" if lead == "[" else "\n  ]"
+
+
+# one degvec record {"degree": d, "fcurve": label}, rendered as _emit
+# would: labels hold only digits, commas and slashes, which JSON keeps as is
+_DEGVEC_JSON = '{\n      "degree": %d,\n      "fcurve": "%s"\n    }'
+_DEGVEC_TABLE = "degree=%d  fcurve=%s"
 
 
 def _cmd_degree(args) -> tuple[dict, int]:
@@ -137,10 +189,10 @@ def _cmd_degvec(args) -> tuple[dict, int]:
     weights = _parse_ints("--weights", args.weights)
     if len(weights) < 4:
         raise UsageError("--weights", "need at least 4 marked points")
-    vec = degree_vector(family, args.r, weights)
-    results = [
-        {"fcurve": p.label(), "degree": deg} for p, deg in vec.items()
-    ]
+    record = _DEGVEC_TABLE if args.table else _DEGVEC_JSON
+    results = (
+        record % (deg, label) for label, deg in degree_stream(family, args.r, weights)
+    )
     report = {
         "command": "degvec",
         "parameters": {"family": family.value, "r": args.r, "weights": list(weights)},
@@ -208,6 +260,7 @@ def _cmd_factor_check(args) -> tuple[dict, int]:
 
 
 def _cmd_cover(args) -> tuple[dict, int]:
+    _at_least("--r", args.r, 2)
     weights = _parse_ints("--weights", args.weights)
     try:
         spec = CoverSpec(args.r, weights)
@@ -255,6 +308,8 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
         if args.n1 is None or args.d1 is None:
             raise UsageError("--restrict", "requires --n1 and --d1")
         n = len(content)
+        _between("--n1", args.n1, 2, n - 2)
+        _between("--d1", args.d1, 1, args.d - 1)
         try:
             c = Linearization(
                 tuple(Fraction(x, args.k) for x in content), args.d
@@ -265,7 +320,7 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
             outcome = verify_restriction_theorem(
                 args.d1, args.d - args.d1, args.n1, n - args.n1, c, args.k
             )
-        except ValueError as exc:
+        except RangeConditionError as exc:
             raise UsageError("--n1", str(exc))
         results = [
             {
@@ -310,6 +365,7 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
 
 
 def _cmd_semistable(args) -> tuple[dict, int]:
+    _at_least("--d", args.d, 1)
     weights = _parse_rationals("--weights", args.weights)
     try:
         c = Linearization(weights, args.d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .weights import WeightVector
 
@@ -97,37 +97,66 @@ def enumerate_boundary_cuts(n: int) -> list[BoundaryCut]:
 def enumerate_fcurves(n: int) -> list[SetPartition4]:
     """All partitions of {1, ..., n} into four nonempty blocks.
 
-    Generated via restricted growth strings, so blocks come out sorted by
-    minimum element and the overall order is deterministic.  The count is
-    the Stirling number S(n, 4).
+    Read off walk_fcurves, so blocks come out sorted by minimum element
+    and the overall order is deterministic.  The count is the Stirling
+    number S(n, 4).
     """
     return list(_fcurves_cached(n))
 
 
 @lru_cache(maxsize=None)
 def _fcurves_cached(n: int) -> tuple[SetPartition4, ...]:
+    # a block's text recurs across many F-curves; parse each one once
+    parsed: dict[str, frozenset[int]] = {}
+
+    def block(text: str) -> frozenset[int]:
+        if text not in parsed:
+            parsed[text] = frozenset(map(int, text.split(",")))
+        return parsed[text]
+
+    return tuple(
+        SetPartition4(n, tuple(map(block, label.split("/"))))
+        for label, _ in walk_fcurves(1, (0,) * n)
+    )
+
+
+def walk_fcurves(
+    r: int, c: Sequence[int]
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every F-curve of len(c) points as (label, block sums of c mod r).
+
+    One restricted-growth walk: each point joins a block already opened or
+    opens the next one.  Every block carries its label text and its running
+    weight sum mod r down the recursion, so an F-curve costs one join and
+    nothing is kept per F-curve.  The label is SetPartition4.label(), the
+    sums are in block order, and the order is that of enumerate_fcurves.
+    """
+    n = len(c)
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
-    results: list[SetPartition4] = []
-    assignment = [0] * n
+    names = [str(i) for i in range(1, n + 1)]
+    # entries of a block not yet opened are stale until a point opens it
+    texts = [names[0], "", "", ""]
+    sums = [c[0] % r, 0, 0, 0]
 
-    def extend(i: int, used: int) -> None:
-        if i == n:
-            if used == 4:
-                blocks: list[list[int]] = [[], [], [], []]
-                for point, b in enumerate(assignment, start=1):
-                    blocks[b].append(point)
-                results.append(SetPartition4(n, tuple(frozenset(b) for b in blocks)))
-            return
-        # every unused block label must still be reachable
+    def extend(i: int, used: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+        # every unopened block must still be reachable
         if 4 - used > n - i:
             return
-        for b in range(min(used + 1, 4)):
-            assignment[i] = b
-            extend(i + 1, max(used, b + 1))
+        if i == n:
+            yield "/".join(texts), tuple(sums)
+            return
+        name, w = names[i], c[i]
+        for b in range(used):
+            text, s = texts[b], sums[b]
+            texts[b], sums[b] = text + "," + name, (s + w) % r
+            yield from extend(i + 1, used)
+            texts[b], sums[b] = text, s
+        if used < 4:
+            texts[used], sums[used] = name, w % r
+            yield from extend(i + 1, used + 1)
 
-    extend(0, 0)
-    return tuple(results)
+    return extend(1, 1)
 
 
 def induce_four_weights(c: WeightVector, partition: SetPartition4) -> WeightVector:

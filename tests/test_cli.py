@@ -1,12 +1,21 @@
+import contextlib
 import json
+import random
 import time
+import tracemalloc
 
 import pytest
 
 import divfact.cli as cli
-from divfact import bundles
-from divfact.bundles import MainTheoremReport, Mismatch
-from divfact.strata import SetPartition4
+from divfact import bundles, strata
+from divfact.bundles import (
+    BundleFamily,
+    MainTheoremReport,
+    Mismatch,
+    degree_vector,
+    fcurve_degree,
+)
+from divfact.strata import SetPartition4, enumerate_fcurves
 
 
 def run(capsys, *argv):
@@ -58,15 +67,83 @@ class TestDegree:
         assert "--family" in capsys.readouterr().err
 
 
+def degvec_reference(family, r, weights):
+    """degvec stdout, JSON and --table, rendered from the whole report at once."""
+    fam = BundleFamily(family)
+    partitions = enumerate_fcurves(len(weights))
+    vec = degree_vector(fam, r, weights)
+    assert list(vec.degrees) == partitions
+    for p, deg in vec.items():
+        assert deg == fcurve_degree(fam, r, weights, p)
+    params = {"family": family, "r": r, "weights": list(weights)}
+    results = [{"fcurve": p.label(), "degree": deg} for p, deg in vec.items()]
+    report = {"command": "degvec", "parameters": params, "results": results, "status": "ok"}
+    table = (
+        [f"command: {report['command']}"]
+        + [f"  {key} = {params[key]}" for key in sorted(params)]
+        + ["  ".join(f"{k}={rec[k]}" for k in sorted(rec)) for rec in results]
+        + [f"status: {report['status']}"]
+    )
+    return json.dumps(report, sort_keys=True, indent=2) + "\n", "\n".join(table) + "\n"
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class TestDegvec:
-    def test_fcurve_keys(self, capsys):
+    def test_stdout_matches_reference(self, capsys):
+        rng = random.Random(5)
+        for family in ("cb", "git", "cyc"):
+            for r in (1, 2, 3, 5, 7):
+                for n in range(4, 9):
+                    # one weight sum r divides, one it does not (r > 1)
+                    for shift in range(min(r, 2)):
+                        weights = [rng.randrange(-2 * r, 2 * r + 1) for _ in range(n)]
+                        weights[-1] += shift - sum(weights) % r
+                        want_json, want_table = degvec_reference(family, r, weights)
+                        argv = ["degvec", "--family", family, "--r", str(r),
+                                "--weights=" + ",".join(map(str, weights))]
+                        assert run(capsys, *argv) == (0, want_json)
+                        assert run(capsys, "--table", *argv) == (0, want_table)
+
+    def test_memory_stays_flat(self):
+        weights = "1,2,0,1,2,0,1,2,0"  # n = 9: 7,770 F-curves
+        for table in ([], ["--table"]):
+            argv = table + ["degvec", "--family", "cb", "--r", "3", "--weights", weights]
+            with contextlib.redirect_stdout(Discard()):
+                cli.main(argv[:-1] + ["1,2,0,1,2"])  # warm up imports and caches
+                tracemalloc.start()
+                try:
+                    assert cli.main(argv) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 2 * 2**20, f"{table}: peak {peak} bytes"
+
+    def test_builds_no_partition_objects(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("degvec built partition objects")
+
+        monkeypatch.setattr(cli, "SetPartition4", fail)
+        monkeypatch.setattr(strata, "SetPartition4", fail)
+        monkeypatch.setattr(strata, "_fcurves_cached", fail)
+        monkeypatch.setattr(bundles, "degree_vector", fail)
+        monkeypatch.setattr(bundles, "enumerate_fcurves", fail)
         code, report = run_json(
-            capsys, "degvec", "--family", "cyc", "--r", "2", "--weights", "1,1,1,1,0"
+            capsys, "degvec", "--family", "git", "--r", "4", "--weights", "2,1,3,3,1,2"
         )
         assert code == 0
-        assert len(report["results"]) == 10
-        keys = [rec["fcurve"] for rec in report["results"]]
-        assert keys == sorted(keys) or len(set(keys)) == 10
+        assert len(report["results"]) == 65
+        code, out = run(
+            capsys, "--table", "degvec", "--family", "git", "--r", "4", "--weights", "2,1,3,3,1,2"
+        )
+        assert code == 0
+        assert out.count("fcurve=") == 65
 
 
 class TestVerifyMain:
@@ -237,6 +314,22 @@ class TestBadTableauxInput:
             (["tableaux", "--d", "-1", "--k", "0", "--content", "0"], "--d"),
             (["tableaux", "--d", "1", "--k", "2", "--content=-1,3,1,1"], "--content"),
             (["tableaux", "--d=-2", "--k=-1", "--content", "1"], "--d"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ")
+
+
+class TestBlamedFlag:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["tableaux", "--d", "1", "--k", "1", "--content", "1,1,0,0", "--restrict", "--n1", "2", "--d1", "5"], "--d1"),
+            (["cover", "--r", "0", "--weights", "1,1,1,1"], "--r"),
+            (["semistable", "--d", "0", "--weights", "1", "--points", "1"], "--d"),
         ],
     )
     def test_usage_error(self, capsys, argv, flag):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from divfact.strata import (
     BoundaryCut,
     SetPartition4,
+    block_sums,
     enumerate_boundary_cuts,
     enumerate_fcurves,
     induce_four_weights,
+    walk_fcurves,
 )
 from divfact.weights import WeightVector, psi_rule
 
@@ -95,6 +98,31 @@ class TestFCurves:
     def test_counts_match_stirling(self):
         for n in range(4, 11):
             assert len(enumerate_fcurves(n)) == stirling4(n)
+
+    def test_order_is_lexicographic_growth_strings(self):
+        # a block assignment in which each point opens at most the next
+        # block; product() yields them in lexicographic order
+        for n in range(4, 9):
+            want = []
+            for labels in product(range(4), repeat=n):
+                if all(b <= max(labels[:i], default=-1) + 1 for i, b in enumerate(labels)) and len(set(labels)) == 4:
+                    blocks = [frozenset(i + 1 for i in range(n) if labels[i] == b) for b in range(4)]
+                    want.append(blocks)
+            assert [list(p.blocks) for p in enumerate_fcurves(n)] == want
+
+    def test_walk_labels_and_sums(self):
+        rng = random.Random(3)
+        for n in range(4, 9):
+            for r in (1, 2, 5, 7):
+                c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
+                walked = list(walk_fcurves(r, c))
+                parts = enumerate_fcurves(n)
+                assert [label for label, _ in walked] == [p.label() for p in parts]
+                assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
+
+    def test_walk_rejects_fewer_than_four_points(self):
+        with pytest.raises(ValueError):
+            walk_fcurves(2, (1, 1, 0))
 
     def test_blocks_sorted_by_minimum(self):
         for p in enumerate_fcurves(6):
