@@ -22,12 +22,12 @@ trivial bundle, hence degree zero everywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
+from .records import MutableRecord, Record
 from .strata import SetPartition4, block_sums, enumerate_fcurves, walk_fcurves
 from .weights import WeightVector, phi_rule, psi_rule
 
@@ -152,22 +152,14 @@ def fcurve_degree(
     return _class_degree(family, r, entries, partition.blocks)
 
 
-@dataclass(frozen=True)
-class DegreeVector:
+class DegreeVector(Record):
     """Degrees of a line bundle on every F-curve of the n-pointed space.
 
     By numerical equivalence on this moduli space, two bundles are
     isomorphic exactly when their degree vectors agree.
     """
 
-    n: int
-    r: int
-    degrees: dict[SetPartition4, int]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DegreeVector):
-            return NotImplemented
-        return (self.n, self.r) == (other.n, other.r) and self.degrees == other.degrees
+    __slots__ = ("n", "r", "degrees")  # degrees: {SetPartition4: int}
 
     def items(self) -> Iterable[tuple[SetPartition4, int]]:
         return self.degrees.items()
@@ -200,23 +192,17 @@ def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVecto
     )
 
 
-@dataclass
-class Mismatch:
-    c: tuple[int, ...]
-    partition: SetPartition4
-    cb: int
-    git: int
-    cyc: int
+class Mismatch(MutableRecord):
+    __slots__ = ("c", "partition", "cb", "git", "cyc")
 
 
-@dataclass
-class MainTheoremReport:
-    r: int
-    n: int
-    vectors_checked: int
-    fcurves_per_vector: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-    elapsed: float = 0.0
+class MainTheoremReport(MutableRecord):
+    __slots__ = ("r", "n", "vectors_checked", "fcurves_per_vector", "mismatches", "elapsed")
+
+    def __init__(self, r: int, n: int, vectors_checked: int, fcurves_per_vector: int,
+                 mismatches: list[Mismatch] | None = None, elapsed: float = 0.0) -> None:
+        mismatches = [] if mismatches is None else mismatches
+        super().__init__(r, n, vectors_checked, fcurves_per_vector, mismatches, elapsed)
 
     @property
     def ok(self) -> bool:

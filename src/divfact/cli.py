@@ -3,8 +3,8 @@
 Every command emits one JSON document on stdout with the shape
 {command, parameters, results, status} and deterministic key order,
 written in chunks as its results are produced; timing and log lines go
-to stderr.  Exit codes: 0 success, 1 a verification found a mismatch,
-2 usage or parse error.
+to stderr.  Exit codes: 0 success, 1 a verification found a mismatch or
+an internal identity failed, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .bundles import (
     fcurve_degree,
     verify_main_theorem,
 )
-from .covers import CoverSpec, degenerate, genus
+from .covers import CoverSpec, InvariantError, degenerate, genus
 from .invariants import (
     PointConfiguration,
     enumerate_tableaux,
@@ -270,10 +270,8 @@ def _cmd_cover(args) -> tuple[dict, int]:
         g = genus(spec)
         results = [{"genus": g}]
     else:
-        try:
-            data = degenerate(spec, args.split)
-        except ValueError as exc:
-            raise UsageError("--split", str(exc))
+        _between("--split", args.split, 2, spec.n - 2)
+        data = degenerate(spec, args.split)
         results = [
             {
                 "c_prime": list(data.c_prime),
@@ -453,6 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     _emit(report, args.table)
     return code
 

@@ -17,17 +17,21 @@ the point count s.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .records import Record
 
 
 class DisconnectedCoverWarning(UserWarning):
     """The branch data allows a disconnected cover; formulas applied verbatim."""
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class InvariantError(Exception):
+    """A computed identity failed: a fault in the program, not in its input."""
+
+
+class CoverSpec(Record):
     """Branch data of a degree-r cyclic cover of the line.
 
     Weights are nonnegative integers whose sum is divisible by r; a
@@ -35,38 +39,30 @@ class CoverSpec:
     gcd(c_i, r) = r there.
     """
 
-    r: int
-    entries: tuple[int, ...]
+    __slots__ = ("r", "entries")
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"cover degree must be >= 2, got r={self.r}")
-        entries = tuple(int(e) for e in self.entries)
+    def __init__(self, r: int, entries: Iterable[int]) -> None:
+        if r < 2:
+            raise ValueError(f"cover degree must be >= 2, got r={r}")
+        entries = tuple(int(e) for e in entries)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("at least one branch point required")
         if any(e < 0 for e in entries):
             raise ValueError(f"branch weights must be nonnegative, got {entries}")
-        if sum(entries) % self.r != 0:
-            raise ValueError(
-                f"r={self.r} must divide the total branch weight {sum(entries)}"
-            )
+        if sum(entries) % r != 0:
+            raise ValueError(f"r={r} must divide the total branch weight {sum(entries)}")
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(Record):
     """Numerical data of the admissible-covers limit over a one-node base."""
 
-    c_prime: tuple[int, ...]
-    c_double_prime: tuple[int, ...]
-    s: int
-    g: int
-    g1: int
-    g2: int
+    __slots__ = ("c_prime", "c_double_prime", "s", "g", "g1", "g2")
 
 
 def _genus_value(r: int, entries: Sequence[int]) -> tuple[int, int]:
@@ -120,7 +116,7 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
     Produces the two side weight vectors (attaching weights reduced into
     {0, ..., r-1}), the number s of points over the node, and the three
     genera, asserting both the gcd symmetry defining s and the additivity
-    g = g1 + g2 + s - 1.
+    g = g1 + g2 + s - 1; a failed assertion raises InvariantError.
     """
     r, entries = spec.r, spec.entries
     n = spec.n
@@ -131,7 +127,7 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
     s_left = gcd(left, r)
     s_right = gcd(right, r)
     if s_left != s_right:
-        raise ValueError(
+        raise InvariantError(
             f"gcd symmetry failed: gcd({left}, {r}) = {s_left} != gcd({right}, {r}) = {s_right}"
         )
     s = s_left
@@ -141,10 +137,8 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
     g1, _ = _genus_value(r, c_prime)
     g2, _ = _genus_value(r, c_double_prime)
     if g != g1 + g2 + s - 1:
-        raise ValueError(
+        raise InvariantError(
             f"genus additivity failed: g={g}, g1={g1}, g2={g2}, s={s}"
         )
-    return DegenerationData(
-        c_prime=c_prime, c_double_prime=c_double_prime, s=s, g=g, g1=g1, g2=g2
-    )
+    return DegenerationData(c_prime, c_double_prime, s, g, g1, g2)
 

@@ -16,7 +16,6 @@ rational point coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -24,31 +23,31 @@ from itertools import combinations
 from typing import Sequence
 
 from .polynomials import Poly, determinant
+from .records import MutableRecord, Record
 from .weights import Linearization, split_linearization
 
 Column = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A rectangular semistandard filling with d+1 rows and k columns.
 
     Entries weakly increase along rows and strictly increase down
     columns; each column is stored as a strictly increasing tuple.
     """
 
-    d: int
-    k: int
-    columns: tuple[Column, ...]
+    __slots__ = ("d", "k", "columns")
 
-    def __post_init__(self) -> None:
-        columns = tuple(tuple(int(v) for v in col) for col in self.columns)
+    def __init__(self, d: int, k: int, columns: Sequence[Sequence[int]]) -> None:
+        columns = tuple(tuple(int(v) for v in col) for col in columns)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "columns", columns)
-        if len(columns) != self.k:
-            raise ValueError(f"expected {self.k} columns, got {len(columns)}")
+        if len(columns) != k:
+            raise ValueError(f"expected {k} columns, got {len(columns)}")
         for col in columns:
-            if len(col) != self.d + 1:
-                raise ValueError(f"column {col} does not have height {self.d + 1}")
+            if len(col) != d + 1:
+                raise ValueError(f"column {col} does not have height {d + 1}")
             if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
                 raise ValueError(f"column {col} is not strictly increasing")
             if col[0] < 1:
@@ -201,29 +200,28 @@ def evaluate_tableau(t: Tableau, n: int) -> Poly:
 # point configurations and semistability
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(Record):
     """An ordered tuple of points in projective d-space, exact rational.
 
     Each point is stored as a homogeneous coordinate column normalized so
     that its first nonzero coordinate equals 1.
     """
 
-    d: int
-    points: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("d", "points")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, points: Sequence[Sequence[Fraction | int]]) -> None:
         normalized = []
-        for p in self.points:
+        for p in points:
             coords = tuple(Fraction(x) for x in p)
-            if len(coords) != self.d + 1:
+            if len(coords) != d + 1:
                 raise ValueError(
-                    f"point {coords} does not have {self.d + 1} homogeneous coordinates"
+                    f"point {coords} does not have {d + 1} homogeneous coordinates"
                 )
             pivot = next((x for x in coords if x != 0), None)
             if pivot is None:
                 raise ValueError("zero column is not a projective point")
             normalized.append(tuple(x / pivot for x in coords))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "points", tuple(normalized))
 
     @property
@@ -341,11 +339,8 @@ class RestrictionNotSemistandardError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class MuDecomposition:
-    sign: int
-    left: Tableau
-    right: Tableau
+class MuDecomposition(Record):
+    __slots__ = ("sign", "left", "right")
 
 
 @lru_cache(maxsize=None)
@@ -443,26 +438,12 @@ def mu_decompose(
     return MuDecomposition(sign=sign, left=left, right=right)
 
 
-@dataclass
-class RestrictionReport:
+class RestrictionReport(MutableRecord):
     """Outcome of the exhaustive symbolic check of the restriction map."""
 
-    d1: int
-    d2: int
-    n1: int
-    n2: int
-    k: int
-    alpha: int
-    beta: int
-    dim_ambient: int
-    dim_left: int
-    dim_right: int
-    decomposable: int
-    zero_restrictions: int
-    nonbasis_images: int
-    distinct_images: int
-    surjective: bool
-    failures: list[str]
+    __slots__ = ("d1", "d2", "n1", "n2", "k", "alpha", "beta", "dim_ambient", "dim_left",
+                 "dim_right", "decomposable", "zero_restrictions", "nonbasis_images",
+                 "distinct_images", "surjective", "failures")
 
     @property
     def ok(self) -> bool:

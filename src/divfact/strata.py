@@ -9,37 +9,36 @@ weights over blocks mod r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .records import Record
 from .weights import WeightVector
 
 
-@dataclass(frozen=True)
-class BoundaryCut:
+class BoundaryCut(Record):
     """One side of a boundary divisor of the n-pointed moduli space.
 
     Canonical representative: the stored side contains the marked point 1,
     which identifies a subset with its complement.
     """
 
-    n: int
-    members: frozenset[int]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError(f"need n >= 4, got n={self.n}")
-        members = frozenset(int(i) for i in self.members)
-        if any(i < 1 or i > self.n for i in members):
-            raise ValueError(f"cut {sorted(members)} not within {{1, ..., {self.n}}}")
-        if not 2 <= len(members) <= self.n - 2:
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        if n < 4:
+            raise ValueError(f"need n >= 4, got n={n}")
+        members = frozenset(int(i) for i in members)
+        if any(i < 1 or i > n for i in members):
+            raise ValueError(f"cut {sorted(members)} not within {{1, ..., {n}}}")
+        if not 2 <= len(members) <= n - 2:
             raise ValueError(
-                f"cut size must lie between 2 and n-2 = {self.n - 2}, got {len(members)}"
+                f"cut size must lie between 2 and n-2 = {n - 2}, got {len(members)}"
             )
         if 1 not in members:
-            members = frozenset(range(1, self.n + 1)) - members
+            members = frozenset(range(1, n + 1)) - members
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
     @property
@@ -47,20 +46,18 @@ class BoundaryCut:
         return frozenset(range(1, self.n + 1)) - self.members
 
 
-@dataclass(frozen=True)
-class SetPartition4:
+class SetPartition4(Record):
     """A partition of {1, ..., n} into four nonempty blocks (an F-curve).
 
     Blocks are stored sorted by their minimum element.
     """
 
-    n: int
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError(f"need n >= 4, got n={self.n}")
-        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
+        if n < 4:
+            raise ValueError(f"need n >= 4, got n={n}")
+        blocks = tuple(frozenset(int(i) for i in b) for b in blocks)
         if len(blocks) != 4 or any(not b for b in blocks):
             raise ValueError("exactly four nonempty blocks required")
         union: set[int] = set()
@@ -68,10 +65,10 @@ class SetPartition4:
         for b in blocks:
             union |= b
             total += len(b)
-        if total != self.n or union != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition {{1, ..., {self.n}}}")
-        blocks = tuple(sorted(blocks, key=min))
-        object.__setattr__(self, "blocks", blocks)
+        if total != n or union != set(range(1, n + 1)):
+            raise ValueError(f"blocks do not partition {{1, ..., {n}}}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
 
     def label(self) -> str:
         """Slash-joined comma-lists of sorted block elements, e.g. '1,2/3/4/5,6'."""

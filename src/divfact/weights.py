@@ -13,15 +13,15 @@ All arithmetic is exact; rationals are `fractions.Fraction` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+from .records import Record
 
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Integer weights mod r attached to an ordered tuple of points.
 
     Entries normally lie in {0, ..., r-1}.  The value r is permitted
@@ -29,19 +29,17 @@ class WeightVector:
     r on its attaching point.
     """
 
-    r: int
-    entries: tuple[int, ...]
+    __slots__ = ("r", "entries")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"cyclic order must be positive, got r={self.r}")
-        entries = tuple(int(e) for e in self.entries)
+    def __init__(self, r: int, entries: Iterable[int]) -> None:
+        if r < 1:
+            raise ValueError(f"cyclic order must be positive, got r={r}")
+        entries = tuple(int(e) for e in entries)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
         for e in entries:
-            if not 0 <= e <= self.r:
-                raise ValueError(
-                    f"weight {e} outside {{0, ..., {self.r}}} for r={self.r}"
-                )
+            if not 0 <= e <= r:
+                raise ValueError(f"weight {e} outside {{0, ..., {r}}} for r={r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -56,23 +54,22 @@ class WeightVector:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record):
     """A rational weight vector in the hypersimplex of GIT linearizations.
 
     The entries lie in [0, 1] and sum to d+1, where d is the dimension of
     the ambient projective space for the point configuration.
     """
 
-    entries: tuple[Fraction, ...]
-    d: int
+    __slots__ = ("entries", "d")
 
-    def __post_init__(self) -> None:
-        entries = tuple(Fraction(e) for e in self.entries)
+    def __init__(self, entries: Iterable[Rational], d: int) -> None:
+        entries = tuple(Fraction(e) for e in entries)
         object.__setattr__(self, "entries", entries)
-        if not in_hypersimplex(entries, self.d):
+        object.__setattr__(self, "d", d)
+        if not in_hypersimplex(entries, d):
             raise ValueError(
-                f"{entries} is not in the hypersimplex Delta({self.d + 1}, {len(entries)})"
+                f"{entries} is not in the hypersimplex Delta({d + 1}, {len(entries)})"
             )
 
     @property

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import divfact.cli as cli
-from divfact import bundles, strata
+from divfact import bundles, covers, strata
 from divfact.bundles import (
     BundleFamily,
     MainTheoremReport,
@@ -208,6 +208,25 @@ class TestCover:
         code = cli.main(["cover", "--r", "2", "--weights", "1,1,1"])
         assert code == 2
         assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["1", "3", "-2"])
+    def test_split_out_of_range_is_usage_error(self, capsys, split):
+        code = cli.main(["cover", "--r", "5", "--weights", "1,2,3,4", "--split", split])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --split: need 2 <= split <= 2, got {split}\n"
+
+    def test_failed_invariant_is_internal_error(self, capsys, monkeypatch):
+        # a genus that grows with the point count breaks g = g1 + g2 + s - 1
+        monkeypatch.setattr(covers, "_genus_value", lambda r, entries: (len(entries), 1))
+        code = cli.main(["cover", "--r", "4", "--weights", "2,1,3,3,1,2", "--split", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: genus additivity failed: g=6, g1=4, g2=4, s=2\n"
+        assert "--split" not in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestTableaux:
