@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from .records import MutableRecord, Record
-from .strata import SetPartition4, block_sums, enumerate_fcurves, walk_fcurves
+from .strata import SetPartition4, block_sums, enumerate_fcurves, split_walk
 from .weights import WeightVector, phi_rule, psi_rule
 
 
@@ -165,31 +165,42 @@ class DegreeVector(Record):
         return self.degrees.items()
 
 
-def degree_stream(
-    family: BundleFamily, r: int, c: Sequence[int]
-) -> Iterator[tuple[str, int]]:
-    """(label, degree) on every F-curve, in canonical order, as walked.
+def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
+    """Degrees on every F-curve, one prefix of strata.split_walk at a time.
 
-    Each degree reads the class of the walk's running block sums; nothing
-    is kept per F-curve, so memory stays flat in n.  Every degree is 0
-    when r does not divide |c| (trivial bundle convention).
-    """
+    Returns split_walk's plan and per prefix (used, texts, degrees), degrees[j]
+    on the F-curve that plan[used][j] completes: one lookup per distinct gain,
+    nothing kept per F-curve, all 0 if r does not divide |c| (trivial bundle)."""
     entries = tuple(int(x) for x in c)
     _check_modulus(r)
-    walk = walk_fcurves(r, entries)
-    if sum(entries) % r != 0:
-        return ((label, 0) for label, _ in walk)
-    return ((label, _deg4_class(family, r, tuple(sorted(sums)))) for label, sums in walk)
+    plan, prefixes = split_walk(r, entries)
+    trivial = sum(entries) % r != 0
+    groups = {}
+    for used, rows in plan.items():
+        distinct: dict[tuple[int, ...], int] = {}  # gain -> its index
+        index = [distinct.setdefault(gain, len(distinct)) for _, gain in rows]
+        groups[used] = index, list(distinct)
+
+    def blocks() -> Iterator[tuple[int, tuple[str, ...], list[int]]]:
+        for used, texts, sums in prefixes:
+            index, gains = groups[used]
+            degrees = [
+                0 if trivial else
+                _deg4_class(family, r, tuple(sorted([(p + g) % r for p, g in zip(sums, gain)])))
+                for gain in gains
+            ]
+            yield used, texts, [degrees[i] for i in index]
+
+    return plan, blocks()
 
 
 def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVector:
     """Evaluate the family's degree on every F-curve, in canonical order."""
     entries = tuple(int(x) for x in c)
     n = len(entries)
-    degrees = degree_stream(family, r, entries)
-    return DegreeVector(
-        n=n, r=r, degrees=dict(zip(enumerate_fcurves(n), (d for _, d in degrees)))
-    )
+    _, blocks = degree_blocks(family, r, entries)
+    degrees = (d for _, _, ds in blocks for d in ds)
+    return DegreeVector(n=n, r=r, degrees=dict(zip(enumerate_fcurves(n), degrees)))
 
 
 class Mismatch(MutableRecord):
@@ -250,7 +261,7 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # every cut of n <= 7 points
 def _cut_restriction_pairs(
     n: int, inside: tuple[int, ...]
 ) -> tuple[tuple[bool, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .bundles import (
     BundleFamily,
     check_git_factorization,
-    degree_stream,
+    degree_blocks,
     fcurve_degree,
     verify_main_theorem,
 )
@@ -101,7 +101,7 @@ def _family(flag: str, name: str) -> BundleFamily:
         raise UsageError(flag, f"unknown family {name!r}; choose cb, git, or cyc")
 
 
-_CHUNK = 4096  # pieces of output per write to stdout
+_CHUNK = 1 << 16  # characters of output per write to stdout
 
 
 def _emit(report: dict, table: bool) -> None:
@@ -110,7 +110,7 @@ def _emit(report: dict, table: bool) -> None:
     The text is json.dumps(report, sort_keys=True, indent=2) or the
     --table rendering, and a final newline.  report["results"] may be any
     iterable; a record is a dict, or a string already rendered for the
-    chosen format (degvec renders its own).
+    chosen format (degvec renders its own, several records to a string).
     """
     records = report["results"]
     if table:
@@ -131,12 +131,13 @@ def _emit(report: dict, table: bool) -> None:
         body = _json_list(records)
         tail += "\n"
     out = sys.stdout
-    chunk = [head]
+    chunk, size = [head], 0
     for piece in body:
         chunk.append(piece)
-        if len(chunk) == _CHUNK:
+        size += len(piece)
+        if size >= _CHUNK:
             out.write("".join(chunk))
-            chunk.clear()
+            chunk, size = [], 0
     chunk.append(tail)
     out.write("".join(chunk))
 
@@ -152,10 +153,12 @@ def _json_list(records: Iterable) -> Iterator[str]:
     yield "]" if lead == "[" else "\n  ]"
 
 
-# one degvec record {"degree": d, "fcurve": label}, rendered as _emit
-# would: labels hold only digits, commas and slashes, which JSON keeps as is
-_DEGVEC_JSON = '{\n      "degree": %d,\n      "fcurve": "%s"\n    }'
-_DEGVEC_TABLE = "degree=%d  fcurve=%s"
+# one degvec record {"degree": d, "fcurve": label} as _emit renders it: % puts
+# in the degree's field number and the texts a completion adds to the blocks,
+# then str.format the prefix's block texts {0}..{3} and the degree.  Labels
+# hold only digits, commas and slashes, which JSON keeps as is
+_DEGVEC_JSON = '{{\n      "degree": {%d},\n      "fcurve": "{0}%s/{1}%s/{2}%s/{3}%s"\n    }}'
+_DEGVEC_TABLE = "degree={%d}  fcurve={0}%s/{1}%s/{2}%s/{3}%s"
 
 
 def _cmd_degree(args) -> tuple[dict, int]:
@@ -189,10 +192,14 @@ def _cmd_degvec(args) -> tuple[dict, int]:
     weights = _parse_ints("--weights", args.weights)
     if len(weights) < 4:
         raise UsageError("--weights", "need at least 4 marked points")
-    record = _DEGVEC_TABLE if args.table else _DEGVEC_JSON
-    results = (
-        record % (deg, label) for label, deg in degree_stream(family, args.r, weights)
-    )
+    plan, blocks = degree_blocks(family, args.r, weights)
+    # all records of one prefix come from one template, its degrees {4}, {5}, ...
+    record, sep = (_DEGVEC_TABLE, "\n") if args.table else (_DEGVEC_JSON, ",\n    ")
+    templates = {
+        used: sep.join(record % (4 + j, *tail) for j, (tail, _) in enumerate(rows))
+        for used, rows in plan.items()
+    }
+    results = (templates[used].format(*texts, *degrees) for used, texts, degrees in blocks)
     report = {
         "command": "degvec",
         "parameters": {"family": family.value, "r": args.r, "weights": list(weights)},

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .records import Record
@@ -101,7 +102,7 @@ def enumerate_fcurves(n: int) -> list[SetPartition4]:
     return list(_fcurves_cached(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _fcurves_cached(n: int) -> tuple[SetPartition4, ...]:
     # a block's text recurs across many F-curves; parse each one once
     parsed: dict[str, frozenset[int]] = {}
@@ -111,49 +112,68 @@ def _fcurves_cached(n: int) -> tuple[SetPartition4, ...]:
             parsed[text] = frozenset(map(int, text.split(",")))
         return parsed[text]
 
-    return tuple(
-        SetPartition4(n, tuple(map(block, label.split("/"))))
-        for label, _ in walk_fcurves(1, (0,) * n)
-    )
+    def partition(label: str) -> SetPartition4:
+        # walked blocks partition {1, ..., n} in order already: skip the checks
+        p = object.__new__(SetPartition4)
+        Record.__init__(p, n, tuple(map(block, label.split("/"))))
+        return p
+
+    return tuple(partition(label) for label, _ in walk_fcurves(1, (0,) * n))
 
 
-def walk_fcurves(
-    r: int, c: Sequence[int]
-) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Every F-curve of len(c) points as (label, block sums of c mod r).
+def _growth(used: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Restricted-growth strings, the one recursion of every F-curve walk: each
+    of `length` points joins one of `used` open blocks or opens the next, up to
+    four.  Yields (block per point, blocks open at the end) in lexicographic order."""
+    if length == 0:
+        yield (), used
+        return
+    for b in range(min(used + 1, 4)):
+        for rest, end in _growth(max(used, b + 1), length - 1):
+            yield (b,) + rest, end
 
-    One restricted-growth walk: each point joins a block already opened or
-    opens the next one.  Every block carries its label text and its running
-    weight sum mod r down the recursion, so an F-curve costs one join and
-    nothing is kept per F-curve.  The label is SetPartition4.label(), the
-    sums are in block order, and the order is that of enumerate_fcurves.
-    """
+
+def _fill(r: int, c: Sequence[int], first: int, growth: tuple[int, ...], opened: int):
+    """The text and the weight mod r that points first+1, ... add to each block."""
+    texts, sums = ["", "", "", ""], [0, 0, 0, 0]
+    for i, b in enumerate(growth, first):
+        texts[b] += f",{i + 1}" if b < opened or texts[b] else str(i + 1)
+        sums[b] += c[i]
+    return tuple(texts), tuple(s % r for s in sums)
+
+
+def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
+    """The F-curve walk over len(c) points as (plan, prefixes).
+
+    prefixes yields (blocks opened, block texts, block sums mod r) for each
+    placement of all but the last k = min(n - 1, 4) points ("" and 0 if
+    unopened).  plan[opened] lists the ways the last k points finish it with
+    four blocks, as the (text, weight mod r) each block gains, in walk order."""
     n = len(c)
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
-    names = [str(i) for i in range(1, n + 1)]
-    # entries of a block not yet opened are stale until a point opens it
-    texts = [names[0], "", "", ""]
-    sums = [c[0] % r, 0, 0, 0]
+    k = min(n - 1, 4)
+    plan = {
+        opened: [_fill(r, c, n - k, g, opened) for g, used in _growth(opened, k) if used == 4]
+        for opened in range(1, 5)
+    }
+    prefixes = ((used, *_fill(r, c, 0, g, 0)) for g, used in _growth(0, n - k))
+    return plan, prefixes
 
-    def extend(i: int, used: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-        # every unopened block must still be reachable
-        if 4 - used > n - i:
-            return
-        if i == n:
-            yield "/".join(texts), tuple(sums)
-            return
-        name, w = names[i], c[i]
-        for b in range(used):
-            text, s = texts[b], sums[b]
-            texts[b], sums[b] = text + "," + name, (s + w) % r
-            yield from extend(i + 1, used)
-            texts[b], sums[b] = text, s
-        if used < 4:
-            texts[used], sums[used] = name, w % r
-            yield from extend(i + 1, used + 1)
 
-    return extend(1, 1)
+def walk_fcurves(r: int, c: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every F-curve of len(c) points as (label, block sums of c mod r).
+
+    Each prefix of split_walk meets each completion in its plan.  The label
+    is SetPartition4.label(), the sums are in block order, and the order
+    is that of enumerate_fcurves.
+    """
+    plan, prefixes = split_walk(r, c)
+    return (
+        ("/".join(map(add, texts, tails)), tuple((p + s) % r for p, s in zip(sums, gains)))
+        for used, texts, sums in prefixes
+        for tails, gains in plan[used]
+    )
 
 
 def induce_four_weights(c: WeightVector, partition: SetPartition4) -> WeightVector:

@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divfact import bundles
+from divfact import bundles, strata
 from divfact.bundles import (
     BundleFamily,
     Mismatch,
@@ -202,3 +202,9 @@ class TestGitFactorization:
         size = data.draw(st.integers(2, n - 2))
         members = data.draw(st.permutations(range(1, n + 1)))[:size]
         assert check_git_factorization(r, c, members)
+
+
+def test_caches_are_bounded():
+    # a cache keyed by n or by cut must not keep every size a process has seen
+    for cached in (strata._fcurves_cached, bundles._cut_restriction_pairs, bundles._deg4_class):
+        assert cached.cache_info().maxsize is not None

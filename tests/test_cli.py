@@ -1,10 +1,12 @@
 import contextlib
+import io
 import json
 import random
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import divfact.cli as cli
 from divfact import bundles, covers, strata
@@ -110,6 +112,40 @@ class TestDegvec:
                                 "--weights=" + ",".join(map(str, weights))]
                         assert run(capsys, *argv) == (0, want_json)
                         assert run(capsys, "--table", *argv) == (0, want_table)
+
+    @pytest.mark.parametrize(
+        "family, r, weights",
+        [
+            ("git", 4, "3,1,2,0,3,3,1,2,1"),  # n = 9: prefixes of five points
+            ("cb", 3, "1,2,0,1,2,0,1,2,0,1"),  # n = 10: of six
+            ("cyc", 1000, "-999999,250,-123456,77,500,-1,999,3,123128"),  # sum divisible
+            ("cb", 1000, "-999999,250,-123456,77,500,-1,999,3,123128,-4"),  # sum not divisible
+        ],
+    )
+    def test_stdout_matches_reference_wide(self, capsys, family, r, weights):
+        want_json, want_table = degvec_reference(family, r, [int(w) for w in weights.split(",")])
+        argv = ["degvec", "--family", family, "--r", str(r), "--weights=" + weights]
+        assert run(capsys, *argv) == (0, want_json)
+        assert run(capsys, "--table", *argv) == (0, want_table)
+
+    def test_writes_stay_small(self):
+        # a prefix renders up to 256 records at once; stdout must still be
+        # written in bounded chunks, not gathered into one document
+        class Sizes(Discard):
+            def __init__(self):
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return len(text)
+
+        weights = "1,2,0,1,2,0,1,2,0,1"  # n = 10: 34,105 F-curves
+        for table in ([], ["--table"]):
+            sink = Sizes()
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(table + ["degvec", "--family", "cb", "--r", "3", "--weights", weights]) == 0
+            assert sum(sink.sizes) > 1_000_000
+            assert max(sink.sizes) <= 128 * 1024, f"{table}: a write of {max(sink.sizes)} characters"
 
     def test_memory_stays_flat(self):
         weights = "1,2,0,1,2,0,1,2,0"  # n = 9: 7,770 F-curves
@@ -386,3 +422,64 @@ class TestLargeR:
         assert code == 0
         assert report["results"][0]["consistent"]
         assert time.perf_counter() - start < 5.0
+
+
+_INTS = st.integers(-10**6, 10**6) | st.sampled_from([0, 1, -1, 2, 10**30, -(10**30)])
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _junk(alphabet):
+    return st.text(alphabet=alphabet, max_size=14)
+
+
+@st.composite
+def _argv(draw):
+    """An argv for degvec, degree or factor-check; each flag is valid three times in four."""
+
+    def pick(valid, invalid):
+        return draw(valid if draw(st.integers(0, 3)) else invalid)
+
+    command = draw(st.sampled_from(["degvec", "degree", "factor-check"]))
+    argv = ["--table"] if draw(st.booleans()) else []
+    r = pick(st.integers(1, 12) | st.just(10**30), _INTS | _junk("0123456789-x."))
+    argv += [command, f"--r={r}"]
+    if command != "factor-check":
+        family = pick(st.sampled_from(["cb", "git", "cyc", "GIT"]), st.sampled_from(["nope", ""]))
+        argv.append("--family=" + family)
+    weights = pick(st.lists(_INTS, min_size=4, max_size=7), st.lists(_INTS, max_size=3))
+    n = len(weights)
+    argv.append("--weights=" + pick(st.just(_csv(weights)), _junk("0123456789,- x")))
+    if command == "degree":
+        # the points in four blocks, or junk
+        valid = st.just("1/2/3/4")
+        if n >= 4:
+            order = draw(st.permutations(range(1, n + 1)))
+            ends = sorted(draw(st.sets(st.integers(1, n - 1), min_size=3, max_size=3)))
+            blocks = [order[a:b] for a, b in zip([0] + ends, ends + [n])]
+            valid = st.just("/".join(_csv(sorted(block)) for block in blocks))
+        argv.append("--partition=" + pick(valid, _junk("0123456789,/-")))
+    if command == "factor-check":
+        valid = st.sets(st.integers(1, max(n, 2)), min_size=2, max_size=max(n - 2, 2)).map(_csv)
+        invalid = st.lists(st.integers(-1, n + 1), max_size=n).map(_csv) | _junk("0123456789,- ")
+        argv.append("--cut=" + pick(valid, invalid))
+    return argv
+
+
+class TestNoTraceback:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv())
+    def test_exit_code_and_stderr(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the argv itself
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: --", "usage: "))

@@ -112,17 +112,24 @@ class TestFCurves:
 
     def test_walk_labels_and_sums(self):
         rng = random.Random(3)
-        for n in range(4, 9):
-            for r in (1, 2, 5, 7):
-                c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
-                walked = list(walk_fcurves(r, c))
-                parts = enumerate_fcurves(n)
-                assert [label for label, _ in walked] == [p.label() for p in parts]
-                assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
+        # n = 9 and 10 walk prefixes of five and six points
+        for n, r in [(n, r) for n in range(4, 9) for r in (1, 2, 5, 7)] + [(9, 3), (10, 1000)]:
+            c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
+            walked = list(walk_fcurves(r, c))
+            parts = enumerate_fcurves(n)
+            assert [label for label, _ in walked] == [p.label() for p in parts]
+            assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
 
     def test_walk_rejects_fewer_than_four_points(self):
         with pytest.raises(ValueError):
             walk_fcurves(2, (1, 1, 0))
+
+    def test_walked_partitions_equal_validated(self):
+        # the walk builds its partitions without SetPartition4's checks
+        for n in range(4, 9):
+            for p in enumerate_fcurves(n):
+                q = SetPartition4(n, p.blocks)
+                assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
     def test_blocks_sorted_by_minimum(self):
         for p in enumerate_fcurves(6):
