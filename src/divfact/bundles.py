@@ -21,7 +21,6 @@ trivial bundle, hence degree zero everywhere.
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -208,12 +207,12 @@ class Mismatch(MutableRecord):
 
 
 class MainTheoremReport(MutableRecord):
-    __slots__ = ("r", "n", "vectors_checked", "fcurves_per_vector", "mismatches", "elapsed")
+    __slots__ = ("r", "n", "vectors_checked", "fcurves_per_vector", "mismatches")
 
     def __init__(self, r: int, n: int, vectors_checked: int, fcurves_per_vector: int,
-                 mismatches: list[Mismatch] | None = None, elapsed: float = 0.0) -> None:
+                 mismatches: list[Mismatch] | None = None) -> None:
         mismatches = [] if mismatches is None else mismatches
-        super().__init__(r, n, vectors_checked, fcurves_per_vector, mismatches, elapsed)
+        super().__init__(r, n, vectors_checked, fcurves_per_vector, mismatches)
 
     @property
     def ok(self) -> bool:
@@ -235,7 +234,6 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
         raise ValueError(f"need r >= 2, got {r}")
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    start = time.perf_counter()
     fcurves = enumerate_fcurves(n)
     cb, git, cyc = (_deg4_table(f, r) for f in BundleFamily)
     bad = {u for u in cb if not cb[u] == git[u] == cyc[u]}
@@ -257,7 +255,6 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
         vectors_checked=r ** (n - 1),
         fcurves_per_vector=len(fcurves),
         mismatches=mismatches,
-        elapsed=time.perf_counter() - start,
     )
 
 

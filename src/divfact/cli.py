@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -212,10 +213,12 @@ def _cmd_degvec(args) -> tuple[dict, int]:
 def _cmd_verify_main(args) -> tuple[dict, int]:
     _at_least("--r", args.r, 2)
     _at_least("--n", args.n, 4)
+    start = time.perf_counter()
     outcome = verify_main_theorem(args.r, args.n)
+    elapsed = time.perf_counter() - start
     print(
         f"verify-main: {outcome.vectors_checked} vectors x "
-        f"{outcome.fcurves_per_vector} F-curves in {outcome.elapsed:.2f}s",
+        f"{outcome.fcurves_per_vector} F-curves in {elapsed:.2f}s",
         file=sys.stderr,
     )
     mismatches = [
@@ -454,6 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, value in vars(args).items():
+            if isinstance(value, list):  # argparse makes "--flag=--" an empty list
+                raise UsageError(f"--{key}", "expected a value, got '--'")
         report, code = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from math import gcd, lcm
+from typing import Hashable, Sequence
 
 from .polynomials import Poly, determinant
 from .records import MutableRecord, Record
@@ -157,16 +158,12 @@ def attach_block_matrix(d1: int, d2: int, n1: int, n2: int) -> list[list[Poly]]:
     block and the first coordinate row of the second.  The attaching
     point itself is not a column.
     """
-    d = d1 + d2
-    rows: list[list[Poly]] = []
-    for i in range(d + 1):
-        row: list[Poly] = []
-        for j in range(1, n1 + 1):
-            row.append(Poly.variable((i, j)) if i <= d1 else Poly.const(0))
-        for j in range(n1 + 1, n1 + n2 + 1):
-            row.append(Poly.variable((i - d1, j)) if i >= d1 else Poly.const(0))
-        rows.append(row)
-    return rows
+    zero = Poly.const(0)
+    return [
+        [Poly.variable((i, j)) if i <= d1 else zero for j in range(1, n1 + 1)]
+        + [Poly.variable((i - d1, j)) if i >= d1 else zero for j in range(n1 + 1, n1 + n2 + 1)]
+        for i in range(d1 + d2 + 1)
+    ]
 
 
 def tableau_polynomial(columns: Sequence[Column], matrix: Sequence[Sequence[Poly]]) -> Poly:
@@ -194,6 +191,44 @@ def evaluate_tableau(t: Tableau, n: int) -> Poly:
         if col[-1] > n:
             raise ValueError(f"column {col} has entries beyond n={n}")
     return tableau_polynomial(t.columns, generic_matrix(t.d, n))
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+Vector = dict[Hashable, int]
+
+
+def _reduce(pivots: dict[Hashable, Vector], vec: Vector) -> Vector:
+    """What is left of vec after eliminating every lead of pivots.
+
+    Fraction-free: `pivots` maps each lead to its echelon row, a primitive
+    integer vector whose least key is the lead (keys are sortable).  The
+    remainder is a nonzero integer multiple of vec minus an integer
+    combination of the rows, and is empty exactly when vec lies in their
+    span over Q.
+    """
+    row = vec
+    for lead in sorted(pivots):
+        b = row.get(lead)
+        if b:
+            p = pivots[lead]
+            out = {key: p[lead] * v for key, v in row.items()}
+            for key, v in p.items():
+                out[key] = out.get(key, 0) - b * v
+            g = gcd(*out.values())
+            row = {key: v // g for key, v in out.items() if v}
+    return row
+
+
+def _echelon_add(pivots: dict[Hashable, Vector], vec: Vector) -> bool:
+    """Add what is left of vec to the echelon rows; False if vec was in their span."""
+    row = _reduce(pivots, vec)
+    if row:
+        lead = min(row)
+        g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+        pivots[lead] = {key: v // g for key, v in row.items()}
+    return bool(row)
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +270,10 @@ class Stability(Enum):
     UNSTABLE = "unstable"
 
 
-def _echelon_basis(vectors: list[tuple[Fraction, ...]]) -> list[list[Fraction]]:
-    basis: list[list[Fraction]] = []
-    for vec in vectors:
-        row = list(vec)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                factor = row[lead] / b[lead]
-                row = [x - factor * y for x, y in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-    return basis
-
-
-def _in_span(basis: list[list[Fraction]], vec: tuple[Fraction, ...]) -> bool:
-    row = list(vec)
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x != 0)
-        if row[lead] != 0:
-            factor = row[lead] / b[lead]
-            row = [x - factor * y for x, y in zip(row, b)]
-    return all(x == 0 for x in row)
+def _integral(point: Sequence[Fraction]) -> Vector:
+    """The point scaled to integer coordinates (the same projective point)."""
+    scale = lcm(*(x.denominator for x in point))
+    return {i: x.numerator * (scale // x.denominator) for i, x in enumerate(point) if x}
 
 
 def is_semistable(cfg: PointConfiguration, c: Linearization) -> Stability:
@@ -267,24 +284,26 @@ def is_semistable(cfg: PointConfiguration, c: Linearization) -> Stability:
     It suffices to test subspaces spanned by subsets of the points, since
     replacing W by the span of the points it contains keeps the weight
     while possibly lowering the dimension.  Spans of at most d points
-    exhaust these (they are automatically proper).
+    exhaust these (they are automatically proper).  Each point is scaled
+    to integer coordinates, the same projective point, and spans are
+    computed by fraction-free elimination.
     """
     if cfg.n != c.n:
         raise ValueError(f"{cfg.n} points but {c.n} weights")
     if cfg.d != c.d:
         raise ValueError(f"configuration in dimension {cfg.d} but linearization for {c.d}")
+    vectors = [_integral(p) for p in cfg.points]
     worst = None
     for size in range(1, cfg.d + 1):
         for subset in combinations(range(cfg.n), size):
-            basis = _echelon_basis([cfg.points[i] for i in subset])
-            if len(basis) < size:
+            pivots: dict[Hashable, Vector] = {}
+            if not all(_echelon_add(pivots, vectors[i]) for i in subset):
                 continue  # dependent subset; its span already appeared
-            dim = len(basis) - 1
             weight = sum(
-                (c[i] for i in range(cfg.n) if _in_span(basis, cfg.points[i])),
+                (c[i] for i in range(cfg.n) if not _reduce(pivots, vectors[i])),
                 Fraction(0),
             )
-            slack = weight - (dim + 1)
+            slack = weight - size
             if worst is None or slack > worst:
                 worst = slack
     if worst is None or worst < 0:
@@ -330,19 +349,6 @@ def attach_configuration(
 # the restriction map on tableau functions
 
 
-class RestrictionNotSemistandardError(ValueError):
-    """The restricted column pair admits no semistandard arrangement.
-
-    The restriction is then a nonzero invariant outside the product
-    basis (it straightens into a combination of basis pairs), which
-    happens only when a side has more free points than its minor height.
-    """
-
-
-class MuDecomposition(Record):
-    __slots__ = ("sign", "left", "right")
-
-
 @lru_cache(maxsize=None)
 def _column_sign(d1: int, d2: int, wide_first: bool) -> int:
     """Sign relating a restricted column minor to its two-factor product.
@@ -376,11 +382,14 @@ def _column_sign(d1: int, d2: int, wide_first: bool) -> int:
 def _mu_columns(
     t: Tableau, n1: int, n2: int, d1: int, d2: int
 ) -> tuple[int, list[Column], list[Column]] | None:
-    """Raw column data of the restriction, or None when it vanishes.
+    """Split a tableau function across the glued configuration space.
 
-    Column order on the left is inherited from t; on the right, columns
-    coming from the narrow pattern are placed before those from the wide
-    pattern, which is the only order that can be semistandard.
+    None when the restriction vanishes (a column meets the blocks in
+    sizes other than d1+1/d2 and d1/d2+1); otherwise the sign and factor
+    columns (entries n1+1 and n2+1 mark the attaching point) making
+    restriction = sign * left function * right function exactly.  Left
+    columns keep t's order; on the right the narrow pattern's come first,
+    the only order that can be semistandard.  A factor need not be.
     """
     if t.d != d1 + d2:
         raise ValueError(f"tableau height {t.d + 1} does not match d1+d2+1 = {d1 + d2 + 1}")
@@ -407,35 +416,38 @@ def _mu_columns(
     return sign, left, right_narrow + right_wide
 
 
-def mu_decompose(
-    t: Tableau, n1: int, n2: int, d1: int, d2: int
-) -> MuDecomposition | None:
-    """Split a tableau function across the glued configuration space.
+class _SideSpan:
+    """Coordinates of one side's tableau functions in its basis functions.
 
-    Returns None when the restriction vanishes (some column does not meet
-    the two blocks in sizes d1+1/d2 or d1/d2+1).  Otherwise returns the
-    two factor tableaux, with entries n1+1 and n2+1 marking the attaching
-    point, and the sign making
-
-        restriction of t  =  sign * (left tableau) * (right tableau)
-
-    an exact polynomial identity on the block coordinate matrix.  Raises
-    RestrictionNotSemistandardError in the exceptional case where the
-    factor columns admit no semistandard arrangement.
+    `coordinates` gives {basis index: coefficient}, up to one nonzero
+    factor, or None outside the span.  Basis columns are read off; any
+    other function is reduced against the basis functions, each tagged
+    with its index (keys (0, monomial number), then (1, index)), and what
+    is left of the tags is the combination that cancels it.  The basis
+    functions are evaluated on first need.
     """
-    raw = _mu_columns(t, n1, n2, d1, d2)
-    if raw is None:
-        return None
-    sign, left_cols, right_cols = raw
-    try:
-        left = Tableau(d1, t.k, tuple(left_cols))
-        right = Tableau(d2, t.k, tuple(right_cols))
-    except ValueError as exc:
-        raise RestrictionNotSemistandardError(
-            f"restriction of {t.columns} gives factor columns {left_cols} and "
-            f"{right_cols}, which are not semistandard: {exc}"
-        ) from None
-    return MuDecomposition(sign=sign, left=left, right=right)
+
+    def __init__(self, basis: list[Tableau], matrix: list[list[Poly]]) -> None:
+        self.basis, self.matrix = basis, matrix
+        self.index = {t.columns: i for i, t in enumerate(basis)}
+        self.monomials: dict = {}
+        self.pivots: dict[Hashable, Vector] = {}
+
+    def _vector(self, f: Poly) -> Vector:
+        number = self.monomials.setdefault
+        return {(0, number(m, len(self.monomials))): v for m, v in f.terms.items()}
+
+    def coordinates(self, columns: tuple[Column, ...], f: Poly) -> dict[int, int] | None:
+        if columns in self.index:
+            return {self.index[columns]: 1}
+        if not self.pivots:
+            for i, t in enumerate(self.basis):
+                f_i = tableau_polynomial(t.columns, self.matrix)
+                _echelon_add(self.pivots, {**self._vector(f_i), (1, i): 1})
+        rest = _reduce(self.pivots, self._vector(f))
+        if any(tag == 0 for tag, _ in rest):
+            return None
+        return {i: v for (_, i), v in rest.items()}
 
 
 class RestrictionReport(MutableRecord):
@@ -443,16 +455,11 @@ class RestrictionReport(MutableRecord):
 
     __slots__ = ("d1", "d2", "n1", "n2", "k", "alpha", "beta", "dim_ambient", "dim_left",
                  "dim_right", "decomposable", "zero_restrictions", "nonbasis_images",
-                 "distinct_images", "surjective", "failures")
+                 "surjective", "failures")
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def injective_on_basis(self) -> bool:
-        """Observed statistic: no two basis tableaux share a factor pair."""
-        return self.distinct_images == self.decomposable - self.nonbasis_images
 
 
 def verify_restriction_theorem(
@@ -465,7 +472,11 @@ def verify_restriction_theorem(
     combinatorial factors (zero when absent); verify the multiplicity
     bookkeeping (the attaching indices appear alpha resp. beta times with
     alpha + beta = k and side contents matching the split weights); and
-    check the factor pairs cover the whole product basis.
+    check that the images span every product of a left and a right basis
+    function.  Each image is a signed product of two side tableau
+    functions; a factor that is not a basis tableau is written in its
+    side's basis functions, so the span is the rank of the images'
+    coordinate tensors, compared with dim_left * dim_right.
     """
     d = d1 + d2
     n = n1 + n2
@@ -491,11 +502,15 @@ def verify_restriction_theorem(
     left_basis = enumerate_tableaux(d1, k, left_content)
     right_basis = enumerate_tableaux(d2, k, right_content)
 
+    left = _SideSpan(left_basis, a1)
+    right = _SideSpan(right_basis, a2)
+    # echelon rows of the images in the product basis, entry i * dim_right + j
+    # on the product of left basis function i and right basis function j
+    dim_right = len(right_basis)
+    images: dict[Hashable, Vector] = {}
+    rank = 0
     failures: list[str] = []
-    hits: set[tuple[tuple[Column, ...], tuple[Column, ...]]] = set()
-    decomposable = 0
-    zero_restrictions = 0
-    nonbasis = 0
+    decomposable = zero_restrictions = nonbasis = 0
 
     if alpha + beta != k:
         failures.append(f"alpha + beta = {alpha + beta} differs from k = {k}")
@@ -506,61 +521,46 @@ def verify_restriction_theorem(
         if raw is None:
             zero_restrictions += 1
             if not lhs.is_zero():
-                failures.append(
-                    f"tableau {t.columns} should restrict to zero but gives {lhs!r}"
-                )
+                failures.append(f"tableau {t.columns} should restrict to zero but gives {lhs!r}")
             continue
         decomposable += 1
         sign, left_cols, right_cols = raw
-        rhs = sign * tableau_polynomial(left_cols, a1) * tableau_polynomial(right_cols, a2)
+        f_left = tableau_polynomial(left_cols, a1)
+        f_right = tableau_polynomial(right_cols, a2)
+        rhs = sign * f_left * f_right
         if lhs != rhs:
             failures.append(
                 f"tableau {t.columns}: restriction {lhs!r} differs from "
                 f"signed product {rhs!r}"
             )
             continue
-        counts_left = [0] * (n1 + 1)
-        for col in left_cols:
-            for v in col:
-                counts_left[v - 1] += 1
-        counts_right = [0] * (n2 + 1)
-        for col in right_cols:
-            for v in col:
-                counts_right[v - 1] += 1
+        counts_left = [sum(col.count(v) for col in left_cols) for v in range(1, n1 + 2)]
+        counts_right = [sum(col.count(v) for col in right_cols) for v in range(1, n2 + 2)]
         if tuple(counts_left) != left_content or tuple(counts_right) != right_content:
             failures.append(
                 f"tableau {t.columns}: factor contents {counts_left}, {counts_right} "
                 f"differ from split weights {left_content}, {right_content}"
             )
             continue
-        try:
-            left_t = Tableau(d1, k, tuple(left_cols))
-            right_t = Tableau(d2, k, tuple(right_cols))
-        except ValueError:
+        left_cols, right_cols = tuple(left_cols), tuple(right_cols)
+        if left_cols not in left.index or right_cols not in right.index:
             nonbasis += 1
+        x = left.coordinates(left_cols, f_left)
+        y = right.coordinates(right_cols, f_right)
+        if x is None or y is None:
+            failures.append(
+                f"tableau {t.columns}: factor {left_cols if x is None else right_cols} "
+                f"lies outside the span of its side's basis functions"
+            )
             continue
-        hits.add((left_t.columns, right_t.columns))
-
-    wanted = {
-        (u1.columns, u2.columns) for u1 in left_basis for u2 in right_basis
-    }
-    surjective = hits >= wanted
+        rank += _echelon_add(
+            images, {i * dim_right + j: u * v for i, u in x.items() for j, v in y.items()}
+        )
 
     return RestrictionReport(
-        d1=d1,
-        d2=d2,
-        n1=n1,
-        n2=n2,
-        k=k,
-        alpha=alpha,
-        beta=beta,
-        dim_ambient=len(ambient_basis),
-        dim_left=len(left_basis),
-        dim_right=len(right_basis),
-        decomposable=decomposable,
-        zero_restrictions=zero_restrictions,
-        nonbasis_images=nonbasis,
-        distinct_images=len(hits),
-        surjective=surjective,
+        d1=d1, d2=d2, n1=n1, n2=n2, k=k, alpha=alpha, beta=beta,
+        dim_ambient=len(ambient_basis), dim_left=len(left_basis), dim_right=dim_right,
+        decomposable=decomposable, zero_restrictions=zero_restrictions,
+        nonbasis_images=nonbasis, surjective=rank == len(left_basis) * dim_right,
         failures=failures,
     )

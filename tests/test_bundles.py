@@ -176,6 +176,10 @@ class TestVerifyMainTheorem:
         assert reference
         assert report.mismatches == reference
 
+    def test_reports_are_deterministic(self):
+        # no timing or other run-dependent field in the report
+        assert verify_main_theorem(3, 5) == verify_main_theorem(3, 5)
+
     def test_domain_guards(self):
         with pytest.raises(ValueError):
             verify_main_theorem(1, 5)

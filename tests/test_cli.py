@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -290,6 +291,9 @@ class TestTableaux:
         assert rec["alpha"] == 1
         assert rec["beta"] == 1
         assert rec["failures"] == []
+        # two images are not basis pairs, yet the images span the product
+        assert rec["nonbasis_images"] == 2
+        assert rec["surjective"] is True
 
     def test_bad_content_sum(self, capsys):
         code = cli.main(["tableaux", "--d", "1", "--k", "2", "--content", "1,1,1"])
@@ -385,6 +389,10 @@ class TestBlamedFlag:
             (["tableaux", "--d", "1", "--k", "1", "--content", "1,1,0,0", "--restrict", "--n1", "2", "--d1", "5"], "--d1"),
             (["cover", "--r", "0", "--weights", "1,1,1,1"], "--r"),
             (["semistable", "--d", "0", "--weights", "1", "--points", "1"], "--d"),
+            # argparse hands "--flag=--" over as an empty list, not a string
+            (["semistable", "--d=1", "--weights=--", "--points=1,0;1,0"], "--weights"),
+            (["degvec", "--family=cb", "--r=--", "--weights=1,1,1,1"], "--r"),
+            (["degvec", "--family=--", "--r=2", "--weights=1,1,1,1"], "--family"),
         ],
     )
     def test_usage_error(self, capsys, argv, flag):
@@ -468,18 +476,93 @@ def _argv(draw):
     return argv
 
 
+@st.composite
+def _invariant_argv(draw):
+    """An argv for tableaux (with or without --restrict) or semistable.
+
+    Valid values stay small (d <= 3, k <= 3, at most 7 points); each flag
+    is valid three times in four.
+    """
+
+    def pick(valid, invalid):
+        return draw(valid if draw(st.sampled_from([True, True, True, False])) else invalid)
+
+    def spread(total, parts, cap):
+        # a random composition of total into parts entries, each <= cap
+        values = [0] * parts
+        for _ in range(total):
+            values[draw(st.sampled_from([i for i in range(parts) if values[i] < cap]))] += 1
+        return values
+
+    argv = ["--table"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        restrict = draw(st.booleans())
+        d = draw(st.integers(2 if restrict else 0, 3))
+        k = draw(st.integers(1 if restrict else 0, 3))
+        n = draw(st.integers(max(d + 1, 4 if restrict else 1), 7))
+        content = _csv(spread(k * (d + 1), n, k))
+        argv += [
+            "tableaux",
+            f"--d={pick(st.just(d), _INTS | _junk('0123456789-x'))}",
+            f"--k={pick(st.just(k), _INTS | _junk('0123456789-x'))}",
+            "--content=" + pick(st.just(content), _junk("0123456789,- x")),
+        ]
+        if restrict:
+            argv.append("--restrict")
+            # each of --n1 and --d1 is left out one time in eight
+            if draw(st.sampled_from([True] * 7 + [False])):
+                argv.append(f"--n1={pick(st.integers(2, n - 2), _INTS)}")
+            if draw(st.sampled_from([True] * 7 + [False])):
+                argv.append(f"--d1={pick(st.integers(1, d - 1), _INTS)}")
+        return argv
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 7))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    weights = ",".join(f"{w}/{den}" for w in spread((d + 1) * den, n, den))
+    coordinate = st.integers(-3, 3).map(str) | st.tuples(
+        st.integers(-9, 9), st.integers(1, 4)).map(lambda q: f"{q[0]}/{q[1]}")
+    points = []
+    for _ in range(n):
+        if points and draw(st.integers(0, 3)) == 0:
+            points.append(draw(st.sampled_from(points)))  # a repeated point
+        else:
+            coords = draw(st.lists(coordinate, min_size=d + 1, max_size=d + 1))
+            if not any(Fraction(x) for x in coords):
+                coords[0] = "1"  # the zero column is no point
+            points.append(_csv(coords))
+    argv += [
+        "semistable",
+        f"--d={pick(st.just(d), _INTS | _junk('0123456789-x'))}",
+        "--weights=" + pick(st.just(weights), _junk("0123456789,/- x")),
+        "--points=" + pick(st.just(";".join(points)), _junk("0123456789,;/- ") | st.sampled_from([
+            ";".join(points[:-1] + [_csv([0] * (d + 1))]),  # the zero column
+            ";".join(points[:-1] + [_csv([1] * d)]),  # one coordinate short
+        ])),
+    ]
+    return argv
+
+
+def _run_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: --", "usage: "))
+
+
 class TestNoTraceback:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_argv())
     def test_exit_code_and_stderr(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects the argv itself
-                code = exc.code
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith(("error: --", "usage: "))
+        _run_without_traceback(argv)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_invariant_argv())
+    def test_tableaux_and_semistable(self, argv):
+        _run_without_traceback(argv)

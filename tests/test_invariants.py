@@ -4,9 +4,10 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from divfact import invariants
 from divfact.invariants import (
+    _mu_columns,
     PointConfiguration,
-    RestrictionNotSemistandardError,
     Stability,
     Tableau,
     attach_block_matrix,
@@ -15,7 +16,6 @@ from divfact.invariants import (
     evaluate_tableau,
     generic_matrix,
     is_semistable,
-    mu_decompose,
     side_matrices,
     tableau_polynomial,
     verify_restriction_theorem,
@@ -173,6 +173,53 @@ class TestSemistability:
         )
         assert is_semistable(general, c) is Stability.STABLE
 
+    def test_matches_fraction_reference(self):
+        # repeated, rescaled and dependent points against a reference that
+        # computes spans by Gaussian elimination over Fraction
+        def rank(vectors):
+            rows, r = [list(v) for v in vectors], 0
+            for j in range(len(rows[0]) if rows else 0):
+                pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+                if pivot is None:
+                    continue
+                rows[r], rows[pivot] = rows[pivot], rows[r]
+                for i in range(r + 1, len(rows)):
+                    factor = rows[i][j] / rows[r][j]
+                    rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                r += 1
+            return r
+
+        def reference(points, c):
+            worst = None
+            for size in range(1, len(points[0])):
+                for subset in combinations(range(len(points)), size):
+                    span = [points[i] for i in subset]
+                    if rank(span) < size:
+                        continue
+                    inside = [i for i in range(len(points)) if rank(span + [points[i]]) == size]
+                    slack = sum(c[i] for i in inside) - size
+                    worst = slack if worst is None else max(worst, slack)
+            if worst is None or worst < 0:
+                return Stability.STABLE
+            return Stability.STRICTLY_SEMISTABLE if worst == 0 else Stability.UNSTABLE
+
+        rng = random.Random(8)
+        for _ in range(120):
+            d = rng.randint(1, 3)
+            n = rng.randint(d + 2, d + 4)
+            c = Linearization(tuple(Fraction(d + 1, n) for _ in range(n)), d)
+            points = []
+            while len(points) < n:
+                if len(points) >= 2 and rng.random() < 0.4:
+                    a, b = rng.sample(points, 2)
+                    s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+                    p = [s * x + t * y for x, y in zip(a, b)]
+                else:
+                    p = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d + 1)]
+                if any(p):
+                    points.append(p)
+            assert is_semistable(PointConfiguration(d, points), c) is reference(points, c)
+
     def test_dimension_mismatch(self):
         cfg = PointConfiguration(1, ((1, 0), (0, 1), (1, 1), (2, 1)))
         with pytest.raises(ValueError):
@@ -232,23 +279,21 @@ class TestMuDecompose:
     def test_display_column(self):
         # the (1, ..., d1+1, n1+1, ..., n1+d2) column for d1 = 2, d2 = 1
         t = Tableau(3, 1, ((1, 2, 3, 5),))
-        m = mu_decompose(t, 4, 3, 2, 1)
-        assert m is not None
-        assert m.left.columns == ((1, 2, 3),)
-        assert m.right.columns == ((1, 4),)
+        sign, left, right = _mu_columns(t, 4, 3, 2, 1)
+        assert left == [(1, 2, 3)]
+        assert right == [(1, 4)]
 
     def test_too_many_first_block_entries(self):
         t = Tableau(2, 1, ((1, 2, 3),))
-        assert mu_decompose(t, 3, 2, 1, 1) is None
+        assert _mu_columns(t, 3, 2, 1, 1) is None
 
     def test_minimal_split_with_sign(self):
         t = Tableau(2, 1, ((1, 2, 3),))
-        m = mu_decompose(t, 2, 2, 1, 1)
-        assert m is not None
-        assert m.left.columns == ((1, 2),)
-        assert m.right.columns == ((1, 3),)
+        sign, left, right = _mu_columns(t, 2, 2, 1, 1)
+        assert left == [(1, 2)]
+        assert right == [(1, 3)]
         # verified against the symbolic identity below
-        assert m.sign == -1
+        assert sign == -1
 
     def test_sign_makes_identity_exact(self):
         for t, (n1, n2, d1, d2) in [
@@ -256,24 +301,21 @@ class TestMuDecompose:
             (Tableau(2, 2, ((1, 3, 5), (2, 4, 6))), (3, 3, 1, 1)),
             (Tableau(3, 1, ((1, 2, 3, 5),)), (4, 2, 2, 1)),
         ]:
-            m = mu_decompose(t, n1, n2, d1, d2)
-            assert m is not None
+            sign, left, right = _mu_columns(t, n1, n2, d1, d2)
             b = attach_block_matrix(d1, d2, n1, n2)
             a1, a2 = side_matrices(d1, n1, d2, n2)
             lhs = tableau_polynomial(t.columns, b)
-            rhs = (
-                m.sign
-                * tableau_polynomial(m.left.columns, a1)
-                * tableau_polynomial(m.right.columns, a2)
-            )
+            rhs = sign * tableau_polynomial(left, a1) * tableau_polynomial(right, a2)
             assert lhs == rhs
             assert not lhs.is_zero()
 
     def test_nonbasis_restriction_raises(self):
         # the right factor of this tableau straightens into two basis pairs
         t = Tableau(2, 2, ((1, 2, 4), (3, 5, 6)))
-        with pytest.raises(RestrictionNotSemistandardError):
-            mu_decompose(t, 3, 3, 1, 1)
+        sign, left, right = _mu_columns(t, 3, 3, 1, 1)
+        Tableau(1, 2, left)
+        with pytest.raises(ValueError):
+            Tableau(1, 2, right)
 
 
 class TestVerifyRestriction:
@@ -295,16 +337,62 @@ class TestVerifyRestriction:
         assert report.nonbasis_images == 0
 
     def test_straightening_case_documented(self):
-        # symmetric six-point case: identities hold for every tableau, but
-        # two restrictions land outside the product basis, so basis-level
-        # surjectivity fails
+        # symmetric six-point case: identities hold for every tableau, and
+        # two restrictions land outside the product basis; they straighten
+        # into basis pairs, and the images still span the product
         c = Linearization((Fraction(1, 2),) * 6, 2)
         report = verify_restriction_theorem(1, 1, 3, 3, c, 2)
         assert report.ok
         assert report.nonbasis_images == 2
-        assert not report.surjective
+        assert report.surjective
         assert report.zero_restrictions == 1
         assert (report.alpha, report.beta) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "d1, d2, n1, n2, content, k, dims",
+        [
+            (1, 1, 3, 3, (2,) * 6, 4, (16, 3, 3)),
+            (1, 2, 3, 4, (4,) * 7, 7, (225, 3, 9)),
+        ],
+    )
+    def test_nonbasis_images_span_the_product(self, d1, d2, n1, n2, content, k, dims):
+        # most images are not basis pairs, so the basis pairs hit do not
+        # cover the product basis; the images span it all the same
+        c = Linearization(tuple(Fraction(x, k) for x in content), d1 + d2)
+        report = verify_restriction_theorem(d1, d2, n1, n2, c, k)
+        assert report.ok
+        assert (report.dim_ambient, report.dim_left, report.dim_right) == dims
+        assert report.nonbasis_images > 0
+        assert report.surjective
+
+    def test_dropped_ambient_tableau_is_not_surjective(self, monkeypatch):
+        # planted fault: the ambient basis loses its last tableau, whose
+        # image the other three cannot replace
+        def ambient_short(d, k, content):
+            basis = enumerate_tableaux(d, k, content)
+            return basis[:-1] if d == 2 else basis
+
+        monkeypatch.setattr(invariants, "enumerate_tableaux", ambient_short)
+        c = Linearization((Fraction(1, 2),) * 6, 2)
+        report = verify_restriction_theorem(1, 1, 3, 3, c, 2)
+        assert report.ok
+        assert report.dim_ambient == 4
+        assert not report.surjective
+
+    def test_factor_outside_its_side_span_is_a_failure(self, monkeypatch):
+        # planted fault: each side basis loses its last tableau, so every
+        # image has a factor outside the span of what is left
+        def sides_short(d, k, content):
+            basis = enumerate_tableaux(d, k, content)
+            return basis[:-1] if d == 1 else basis
+
+        monkeypatch.setattr(invariants, "enumerate_tableaux", sides_short)
+        c = Linearization((Fraction(1, 2),) * 6, 2)
+        report = verify_restriction_theorem(1, 1, 3, 3, c, 2)
+        assert (report.dim_left, report.dim_right) == (1, 1)
+        assert len(report.failures) == report.decomposable == 4
+        assert all("outside the span" in f for f in report.failures)
+        assert not report.surjective
 
     def test_range_violation_is_precondition_error(self):
         c = Linearization(
