@@ -258,60 +258,33 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
     )
 
 
-@lru_cache(maxsize=64)  # every cut of n <= 7 points
-def _cut_restriction_pairs(
-    n: int, inside: tuple[int, ...]
-) -> tuple[tuple[bool, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]:
-    """F-curves of the two sides of a cut, paired with their ambient images.
-
-    An F-curve of a side becomes an ambient F-curve by merging the
-    opposite side of the cut into the block that carries the attaching
-    point.  The boolean marks the side containing the cut's index set;
-    blocks are stored as sorted index tuples (1-based).
-    """
-    outside = tuple(i for i in range(1, n + 1) if i not in set(inside))
-    pairs = []
-    for on_inside, side_points, other_points in (
-        (True, inside, outside),
-        (False, outside, inside),
-    ):
-        m = len(side_points)
-        if m + 1 < 4:
-            continue
-        attach = m + 1
-        for q in enumerate_fcurves(m + 1):
-            side_blocks = tuple(tuple(sorted(block)) for block in q.blocks)
-            ambient_blocks = []
-            for block in q.blocks:
-                mapped = {side_points[i - 1] for i in block if i != attach}
-                if attach in block:
-                    mapped |= set(other_points)
-                ambient_blocks.append(tuple(sorted(mapped)))
-            pairs.append((on_inside, side_blocks, tuple(ambient_blocks)))
-    return tuple(pairs)
-
-
 def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) -> bool:
     """Numerically verify the GIT boundary factorization along one cut.
 
-    For every F-curve of either side of the cut, the degree computed from
-    the restricted weights (via the side's own block sums) must equal the
-    ambient degree on the corresponding ambient F-curve, obtained by
-    merging the opposite side into the block carrying the attaching point.
+    An F-curve of either side of the cut becomes an ambient F-curve once
+    the opposite side is merged into the block carrying the attaching
+    point.  Block sums are linear, so the ambient degree there is the
+    side F-curve's degree for the side's own weights plus, on the
+    attaching point, the opposite side's total.  On every F-curve of
+    either side, that degree must equal the one of the restricted weights.
     """
     _check_modulus(r)
     entries = tuple(int(x) for x in c)
-    n = len(entries)
     wv = WeightVector(r, tuple(e % r for e in entries))
     inside = tuple(sorted(set(int(i) for i in members)))
-
-    c_phi = tuple(phi_rule(wv, inside))
-    c_psi = tuple(psi_rule(wv, inside))
+    restricted = (tuple(phi_rule(wv, inside)), tuple(psi_rule(wv, inside)))
+    outside = tuple(i for i in range(1, len(entries) + 1) if i not in inside)
     git = BundleFamily.GIT
 
-    for on_inside, side_blocks, ambient_blocks in _cut_restriction_pairs(n, inside):
-        side_weights = c_phi if on_inside else c_psi
-        side_deg = _class_degree(git, r, side_weights, side_blocks)
-        if side_deg != _class_degree(git, r, entries, ambient_blocks):
-            return False
+    for side, own, other in zip(restricted, (inside, outside), (outside, inside)):
+        merged = tuple(entries[i - 1] for i in own) + (sum(entries[i - 1] for i in other),)
+        if len(merged) < 4:
+            continue
+        for q in enumerate_fcurves(len(merged)):
+            blocks = q.blocks
+            # equal classes have equal sums mod r, hence equal degrees
+            if _four_point_class(r, side, blocks) == _four_point_class(r, merged, blocks):
+                continue
+            if _class_degree(git, r, side, blocks) != _class_degree(git, r, merged, blocks):
+                return False
     return True

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .polynomials import Poly, determinant
 from .records import MutableRecord, Record
@@ -72,7 +72,9 @@ def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
     """All semistandard (d+1) x k fillings where entry i appears content[i-1] times.
 
     Returns the empty list when none exist.  Enumeration is by
-    lexicographic backtracking over cells, so the order is deterministic.
+    lexicographic backtracking over cells, column by column, so the order
+    is deterministic; the backtracking keeps its own stack, so any size
+    runs without recursion.
     """
     if d < 0 or k < 0:
         raise ValueError(f"need d >= 0 and k >= 0, got d={d}, k={k}")
@@ -85,35 +87,39 @@ def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
             f"content sums to {sum(remaining)}, expected k*(d+1) = {k * (d + 1)}"
         )
     height = d + 1
-    results: list[Tableau] = []
-    current: list[int] = []
-    finished: list[Column] = []
+    size = k * height
+    if size == 0:
+        return [Tableau(d, k, ())]
+    cells: list[int] = []  # the filling so far, column by column
 
-    def fill(col_index: int, row: int) -> None:
-        if col_index == k:
-            results.append(Tableau(d, k, tuple(finished)))
-            return
-        if row == height:
-            finished.append(tuple(current))
-            current.clear()
-            fill(col_index + 1, 0)
-            current.extend(finished.pop())
-            return
-        lowest = current[row - 1] + 1 if row > 0 else 1
-        if col_index > 0:
-            lowest = max(lowest, finished[col_index - 1][row])
+    def entries(t: int) -> Iterator[int]:
+        """The entries cell t may take, given the cells before it."""
+        row = t % height
+        lowest = cells[t - 1] + 1 if row > 0 else 1
+        if t >= height:
+            lowest = max(lowest, cells[t - height])
         # the column still needs height - row - 1 strictly larger entries
-        highest = n - (height - row - 1)
-        for v in range(lowest, highest + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            current.append(v)
-            fill(col_index, row + 1)
-            current.pop()
-            remaining[v - 1] += 1
+        return iter(range(lowest, n - (height - row - 1) + 1))
 
-    fill(0, 0)
+    results: list[Tableau] = []
+    tries = [entries(0)]  # per filled cell and the next: its entries left to try
+    while tries:
+        for v in tries[-1]:
+            if remaining[v - 1]:
+                break
+        else:
+            tries.pop()
+            if cells:
+                remaining[cells.pop() - 1] += 1
+            continue
+        remaining[v - 1] -= 1
+        cells.append(v)
+        if len(cells) < size:
+            tries.append(entries(len(cells)))
+            continue
+        columns = tuple(tuple(cells[j:j + height]) for j in range(0, size, height))
+        results.append(Tableau(d, k, columns))
+        remaining[cells.pop() - 1] += 1
     return results
 
 

@@ -1,9 +1,10 @@
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divfact import bundles, strata
+from divfact import bundles, strata, weights
 from divfact.bundles import (
     BundleFamily,
     Mismatch,
@@ -15,7 +16,8 @@ from divfact.bundles import (
     fcurve_degree,
     verify_main_theorem,
 )
-from divfact.strata import SetPartition4, enumerate_fcurves
+from divfact.strata import SetPartition4, enumerate_boundary_cuts, enumerate_fcurves
+from divfact.weights import WeightVector
 
 
 class TestBaseFormulas:
@@ -207,8 +209,91 @@ class TestGitFactorization:
         members = data.draw(st.permutations(range(1, n + 1)))[:size]
         assert check_git_factorization(r, c, members)
 
+    @pytest.mark.parametrize("fault", ["phi_attaching", "psi_first", "relabel_shifted"])
+    def test_planted_fault_matches_merged_reference(self, fault, monkeypatch):
+        # a restriction rule gone wrong must fail exactly where the ambient
+        # F-curves, built by merging the other side, disagree with a side
+        if fault == "phi_attaching":
+            right = bundles.phi_rule
+            monkeypatch.setattr(bundles, "phi_rule", lambda c, m: _shifted(right(c, m), -1))
+        elif fault == "psi_first":
+            right = bundles.psi_rule
+            monkeypatch.setattr(bundles, "psi_rule", lambda c, m: _shifted(right(c, m), 0))
+        else:
+            right = weights._relabel
+
+            def next_indices(c, m):
+                return right(c, [i % len(c) + 1 for i in m])
+
+            monkeypatch.setattr(weights, "_relabel", next_indices)
+        r, n = 3, 6
+        cuts = [sorted(cut.members) for cut in enumerate_boundary_cuts(n)]
+        failed = 0
+        for head in product(range(r), repeat=n - 1):
+            c = head + (-sum(head) % r,)
+            for cut in cuts:
+                expected = _merged_reference(r, c, cut)
+                assert check_git_factorization(r, c, cut) == expected, (fault, c, cut)
+                failed += not expected
+        assert failed > 0
+
+
+def _shifted(w: WeightVector, i: int) -> WeightVector:
+    """w with entry i moved up by one mod r."""
+    entries = list(w.entries)
+    entries[i] = (entries[i] + 1) % w.r
+    return WeightVector(w.r, entries)
+
+
+def _merged_reference(r, c, members) -> bool:
+    """The GIT factorization check with each ambient F-curve built explicitly.
+
+    Each side's F-curve becomes a SetPartition4 of all n points by merging
+    the other side into the block of the attaching point, and the degrees
+    are compared through fcurve_degree.  Reads the restriction rules
+    from bundles at call time, so a planted fault reaches both checks.
+    """
+    n = len(c)
+    wv = WeightVector(r, [x % r for x in c])
+    inside = sorted(set(members))
+    outside = [i for i in range(1, n + 1) if i not in inside]
+    sides = (
+        (bundles.phi_rule(wv, inside), inside, outside),
+        (bundles.psi_rule(wv, inside), outside, inside),
+    )
+    git = BundleFamily.GIT
+    for side, own, other in sides:
+        attach = len(own) + 1
+        if attach < 4:
+            continue
+        for q in enumerate_fcurves(attach):
+            blocks = [{own[i - 1] for i in block if i != attach} for block in q.blocks]
+            for block, q_block in zip(blocks, q.blocks):
+                if attach in q_block:
+                    block.update(other)
+            ambient = SetPartition4(n, blocks)
+            if fcurve_degree(git, r, side, q) != fcurve_degree(git, r, c, ambient):
+                return False
+    return True
+
 
 def test_caches_are_bounded():
-    # a cache keyed by n or by cut must not keep every size a process has seen
-    for cached in (strata._fcurves_cached, bundles._cut_restriction_pairs, bundles._deg4_class):
+    # a cache keyed by n must not keep every size a process has seen
+    for cached in (strata._fcurves_cached, bundles._deg4_class):
         assert cached.cache_info().maxsize is not None
+
+
+def test_cut_sweep_memory_is_small():
+    # checking every cut keeps nothing per cut: only the side F-curve lists
+    n = 9
+    c = (1, 2, 0, 1, 2, 0, 1, 2, 0)
+    cuts = enumerate_boundary_cuts(n)
+    strata._fcurves_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert all(check_git_factorization(3, c, cut.members) for cut in cuts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cuts) == 246
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB over the {len(cuts)} cuts of n = {n}"

@@ -295,6 +295,12 @@ class TestTableaux:
         assert rec["nonbasis_images"] == 2
         assert rec["surjective"] is True
 
+    def test_many_cells(self, capsys):
+        # 5000 cells, more than Python's recursion limit allows frames
+        code, report = run_json(capsys, "tableaux", "--d", "0", "--k", "5000", "--content", "5000")
+        assert code == 0
+        assert report["results"][0]["count"] == 1
+
     def test_bad_content_sum(self, capsys):
         code = cli.main(["tableaux", "--d", "1", "--k", "2", "--content", "1,1,1"])
         assert code == 2
@@ -542,6 +548,47 @@ def _invariant_argv(draw):
     return argv
 
 
+# never a valid integer at least 1: junk without digits, '--', zero or negative
+_NOT_POSITIVE = _junk("x-., ") | st.just("--") | st.integers(-10**6, 0).map(str)
+
+
+@st.composite
+def _cover_verify_argv(draw):
+    """An argv for cover (with or without --split) or verify-main.
+
+    Valid values stay small (verify-main: r <= 4, n <= 6, as an unbounded
+    --n runs unbounded; cover: at most 7 points); each flag is valid three
+    times in four.  Invalid values are junk, zero, negative or '--', and
+    below each flag's least value.
+    """
+
+    def pick(valid, invalid):
+        return draw(valid if draw(st.sampled_from([True, True, True, False])) else invalid)
+
+    def below(lowest):
+        return _NOT_POSITIVE | st.integers(1, lowest - 1).map(str)
+
+    argv = ["--table"] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        r = pick(st.integers(2, 4).map(str), below(2))
+        n = pick(st.integers(4, 6).map(str), below(4))
+        return argv + ["verify-main", f"--r={r}", f"--n={n}"]
+    r = draw(st.integers(2, 12))
+    weights = draw(st.lists(st.integers(0, 3 * r) | _INTS.map(abs), min_size=1, max_size=7))
+    weights[-1] += -sum(weights) % r
+    n = len(weights)
+    argv += [
+        "cover",
+        f"--r={pick(st.just(str(r)), below(2))}",
+        "--weights=" + pick(st.just(_csv(weights)), _junk("0123456789,- x") | st.just("--")),
+    ]
+    if draw(st.booleans()):
+        outside = _NOT_POSITIVE | st.sampled_from(["1", str(max(n - 1, 2)), "10" * 20])
+        split = pick(st.integers(2, n - 2).map(str), outside) if n >= 4 else draw(outside)
+        argv.append(f"--split={split}")
+    return argv
+
+
 def _run_without_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -565,4 +612,9 @@ class TestNoTraceback:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_invariant_argv())
     def test_tableaux_and_semistable(self, argv):
+        _run_without_traceback(argv)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_cover_verify_argv())
+    def test_cover_and_verify_main(self, argv):
         _run_without_traceback(argv)

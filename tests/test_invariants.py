@@ -102,6 +102,11 @@ class TestEnumerateTableaux:
             ours = {t.columns for t in enumerate_tableaux(d, k, content)}
             assert ours == brute_force_tableaux(d, k, content)
 
+    def test_many_cells(self):
+        # 6000 cells, more than Python's recursion limit allows frames
+        ts = enumerate_tableaux(1, 3000, (3000, 3000))
+        assert [t.columns for t in ts] == [((1, 2),) * 3000]
+
     def test_deterministic_order(self):
         a = enumerate_tableaux(2, 2, (1, 1, 1, 1, 1, 1))
         b = enumerate_tableaux(2, 2, (1, 1, 1, 1, 1, 1))
