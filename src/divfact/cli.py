@@ -4,17 +4,20 @@ Every command emits one JSON document on stdout with the shape
 {command, parameters, results, status} and deterministic key order,
 written in chunks as its results are produced; timing and log lines go
 to stderr.  Exit codes: 0 success, 1 a verification found a mismatch or
-an internal identity failed, 2 usage or parse error.
+an internal identity failed, 2 usage or parse error, 141 stdout closed
+before the report was written.
+
+A process imports only what its command runs: the flags are read from one
+table (no `argparse`), the report is written by a small JSON writer (no
+`json`), `fractions` loads only where a rational is parsed, and
+`divfact.invariants` only for `tableaux` and `semistable`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from types import SimpleNamespace
 
 from .bundles import (
     BundleFamily,
@@ -24,14 +27,16 @@ from .bundles import (
     verify_main_theorem,
 )
 from .covers import CoverSpec, InvariantError, degenerate, genus
-from .invariants import (
-    PointConfiguration,
-    enumerate_tableaux,
-    is_semistable,
-    verify_restriction_theorem,
-)
 from .strata import SetPartition4, induce_four_weights
 from .weights import Linearization, RangeConditionError, WeightVector
+
+# annotations only: `typing` (with `re`) is not imported when the program runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Iterable, Iterator, Sequence
+
+    from .invariants import PointConfiguration
 
 
 class UsageError(Exception):
@@ -51,6 +56,8 @@ def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
 
 
 def _parse_rationals(flag: str, text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
@@ -72,6 +79,8 @@ def _parse_partition(flag: str, text: str, n: int) -> SetPartition4:
 
 
 def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
+    from .invariants import PointConfiguration
+
     columns = []
     for chunk in text.split(";"):
         if not chunk:
@@ -126,7 +135,7 @@ def _emit(report: dict, table: bool) -> None:
         )
         tail = f"status: {report['status']}\n"
     else:
-        text = json.dumps({**report, "results": []}, sort_keys=True, indent=2)
+        text = _json({**report, "results": []})
         head, _, tail = text.partition('"results": []')
         head += '"results": '
         body = _json_list(records)
@@ -148,10 +157,65 @@ def _json_list(records: Iterable) -> Iterator[str]:
     lead = "["
     for record in records:
         if not isinstance(record, str):
-            record = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n    ")
+            record = _json(record, "\n    ")
         yield lead + "\n    " + record
         lead = ","
     yield "]" if lead == "[" else "\n  ]"
+
+
+def _json(value: object, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), the value nested at `indent`
+    (a newline and its spaces).  Takes dicts with str keys, lists, tuples, str,
+    int, bool and None, and raises TypeError on any other type."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = (f"{_json_string(key)}: {_json(value[key], inner)}" for key in sorted(value))
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (_json(item, inner) for item in value)
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_string(text: str) -> str:
+    """A JSON string as json.dumps writes it with ensure_ascii: printable ASCII as
+    is, other characters as \\uXXXX, above U+FFFF as a surrogate pair."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code > 0xFFFF:
+            code -= 0x10000
+            out.append("\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF))
+        else:
+            out.append("\\u%04x" % code)
+    return '"' + "".join(out) + '"'
 
 
 # one degvec record {"degree": d, "fcurve": label} as _emit renders it: % puts
@@ -318,6 +382,10 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
         n = len(content)
         _between("--n1", args.n1, 2, n - 2)
         _between("--d1", args.d1, 1, args.d - 1)
+        from fractions import Fraction
+
+        from .invariants import verify_restriction_theorem
+
         try:
             c = Linearization(
                 tuple(Fraction(x, args.k) for x in content), args.d
@@ -347,6 +415,8 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
         status = "ok" if outcome.ok else "mismatch"
         code = 0 if outcome.ok else 1
     else:
+        from .invariants import enumerate_tableaux
+
         basis = enumerate_tableaux(args.d, args.k, content)
         results = [
             {
@@ -374,6 +444,8 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
 
 def _cmd_semistable(args) -> tuple[dict, int]:
     _at_least("--d", args.d, 1)
+    from .invariants import is_semistable
+
     weights = _parse_rationals("--weights", args.weights)
     try:
         c = Linearization(weights, args.d)
@@ -396,78 +468,236 @@ def _cmd_semistable(args) -> tuple[dict, int]:
     return report, 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="divfact",
-        description="Exact degree and invariant computations for weighted "
-        "bundles on moduli of pointed rational curves.",
+# the kinds of flag: a required integer or text, an optional integer
+# (None when not given) and a switch (False when not given)
+_INT, _TEXT, _OPTIONAL_INT, _SWITCH = "N", "TEXT", "[N]", "switch"
+
+# each command's handler, its help line and its flags (name: kind)
+_COMMANDS = {
+    "degree": (
+        _cmd_degree,
+        "degree of one family on one F-curve",
+        {"family": _TEXT, "r": _INT, "weights": _TEXT, "partition": _TEXT},
+    ),
+    "degvec": (
+        _cmd_degvec,
+        "full degree vector of one family",
+        {"family": _TEXT, "r": _INT, "weights": _TEXT},
+    ),
+    "verify-main": (
+        _cmd_verify_main,
+        "exhaustive three-family comparison",
+        {"r": _INT, "n": _INT},
+    ),
+    "factor-check": (
+        _cmd_factor_check,
+        "GIT factorization along one cut",
+        {"r": _INT, "weights": _TEXT, "cut": _TEXT},
+    ),
+    "cover": (
+        _cmd_cover,
+        "cyclic cover genus and degeneration data",
+        {"r": _INT, "weights": _TEXT, "split": _OPTIONAL_INT},
+    ),
+    "tableaux": (
+        _cmd_tableaux,
+        "tableau basis and restriction check",
+        {"d": _INT, "k": _INT, "content": _TEXT, "restrict": _SWITCH, "n1": _OPTIONAL_INT, "d1": _OPTIONAL_INT},
+    ),
+    "semistable": (
+        _cmd_semistable,
+        "classify a weighted configuration",
+        {"d": _INT, "weights": _TEXT, "points": _TEXT},
+    ),
+}
+
+# the flags before the command
+_TOP = ("-h", "--help", "--table")
+
+
+class _Help(Exception):
+    """-h or --help was given: the usage text to print."""
+
+
+def _signature(flags: dict[str, str]) -> str:
+    return " ".join(
+        f"--{name} {kind}" if kind in (_INT, _TEXT)
+        else f"[--{name} N]" if kind is _OPTIONAL_INT
+        else f"[--{name}]"
+        for name, kind in flags.items()
     )
-    parser.add_argument("--table", action="store_true", help="human-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("degree", help="degree of one family on one F-curve")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--partition", required=True)
-    p.set_defaults(handler=_cmd_degree)
 
-    p = sub.add_parser("degvec", help="full degree vector of one family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.set_defaults(handler=_cmd_degvec)
+def _usage(command: str | None = None) -> str:
+    if command is not None:
+        _, summary, flags = _COMMANDS[command]
+        return f"usage: divfact [--table] {command} {_signature(flags)}\n\n{summary}\n"
+    lines = [
+        "usage: divfact [--table] COMMAND FLAGS",
+        "",
+        "Exact degree and invariant computations for weighted bundles on moduli of",
+        "pointed rational curves.  Each command writes one JSON report on stdout;",
+        "--table writes it as plain text.  A flag may be shortened to any prefix",
+        "no other flag of its command shares.",
+        "",
+        "commands:",
+    ]
+    for name, (_, summary, flags) in _COMMANDS.items():
+        lines += [f"  {name:<13} {summary}", f"  {'':<13} {_signature(flags)}"]
+    lines += ["", "exit codes: 0 ok, 1 mismatch, 2 usage error, 141 stdout closed early"]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("verify-main", help="exhaustive three-family comparison")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_verify_main)
 
-    p = sub.add_parser("factor-check", help="GIT factorization along one cut")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--cut", required=True)
-    p.set_defaults(handler=_cmd_factor_check)
+def _negative_number(token: str) -> bool:
+    """-D+ or -D*.D+ in decimal digits, before at most one final newline."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
 
-    p = sub.add_parser("cover", help="cyclic cover genus and degeneration data")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--split", type=int, default=None)
-    p.set_defaults(handler=_cmd_cover)
 
-    p = sub.add_parser("tableaux", help="tableau basis and restriction check")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--content", required=True)
-    p.add_argument("--restrict", action="store_true")
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--d1", type=int, default=None)
-    p.set_defaults(handler=_cmd_tableaux)
+def _option(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """One argument read as argparse reads it: None for a value, else the flag
+    it names (None if it names none) and the text after its '=' (None if none).
 
-    p = sub.add_parser("semistable", help="classify a weighted configuration")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--points", required=True)
-    p.set_defaults(handler=_cmd_semistable)
+    A flag is named exactly or by a prefix of it that no other flag shares;
+    text glued to -h is its text.  A negative number, or text holding a
+    space, is a value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token == "--":
+        return None, None
+    if token[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        text = tail if eq else None
+    else:
+        found = ["-h"] if token[1] == "h" else []
+        text = token[2:]
+    if len(found) > 1:
+        raise UsageError(head, f"ambiguous: could be {', '.join(found)}")
+    if found:
+        return found[0], text
+    if _negative_number(token) or " " in token:
+        return None
+    return None, None
 
-    return parser
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags, as the namespace {table, command, handler,
+    and one attribute per flag}.
+
+    Raises _Help for -h or --help, and UsageError for the flag at fault.  An
+    unknown flag or a stray value is reported only once every argument is
+    read, after a missing required flag, so a later --help still prints help.
+    """
+    # every argument is read before any is acted on: an ambiguous one fails first
+    for token in argv[: argv.index("--") if "--" in argv else len(argv)]:
+        _option(token, _TOP)
+    late: list[UsageError] = []
+    table = False
+    for at, token in enumerate(argv):
+        option = _option(token, _TOP)
+        if option is None:
+            break
+        flag, text = option
+        if flag is None:
+            late.append(UsageError(token.partition("=")[0], "unknown flag; only --table comes before the command"))
+        elif text is not None:
+            raise UsageError(flag, f"takes no value, got {text!r}")
+        elif flag == "--table":
+            table = True
+        else:
+            raise _Help(_usage())
+    else:
+        raise UsageError("command", f"missing; choose {', '.join(_COMMANDS)}")
+    command = token
+    if command not in _COMMANDS:
+        raise UsageError("command", f"unknown command {command!r}; choose {', '.join(_COMMANDS)}")
+    handler, _, flags = _COMMANDS[command]
+    names = ("-h", "--help", *(f"--{name}" for name in flags))
+    rest = argv[at + 1 :]
+    for token in rest[: rest.index("--") if "--" in rest else len(rest)]:
+        _option(token, names)
+
+    values = {name: False if kind is _SWITCH else None for name, kind in flags.items()}
+    given = set()
+    blame = command  # a stray value is reported against the flag before it
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        option = _option(token, names)
+        if option is None:
+            late.append(UsageError(blame, f"unexpected argument {token!r}"))
+            continue
+        flag, text = option
+        if flag is None:
+            known = ", ".join(names[2:])
+            late.append(UsageError(token.partition("=")[0], f"unknown flag; {command} takes {known}"))
+            continue
+        name = flag[2:]
+        kind = flags.get(name, _SWITCH)  # -h and --help are switches too
+        if text is not None and kind is _SWITCH:
+            raise UsageError(flag, f"takes no value, got {text!r}")
+        if name not in flags:
+            raise _Help(_usage(command))
+        given.add(name)
+        blame = flag
+        if kind is _SWITCH:
+            values[name] = True
+            continue
+        if text is None:
+            if i == len(rest) or _option(rest[i], names) is not None:
+                raise UsageError(flag, "expected a value")
+            text = rest[i]
+            i += 1
+        if kind is _TEXT or text == "--":  # "--" is refused below, once all is read
+            values[name] = text
+        else:
+            try:
+                values[name] = int(text)
+            except ValueError:
+                raise UsageError(flag, f"expected an integer, got {text!r}")
+    for name, kind in flags.items():
+        if kind in (_INT, _TEXT) and name not in given:
+            raise UsageError(f"--{name}", "required")
+    if late:
+        raise late[0]
+    for name, value in values.items():
+        if value == "--":
+            raise UsageError(f"--{name}", "expected a value, got '--'")
+    return SimpleNamespace(table=table, command=command, handler=handler, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        for key, value in vars(args).items():
-            if isinstance(value, list):  # argparse makes "--flag=--" an empty list
-                raise UsageError(f"--{key}", "expected a value, got '--'")
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         report, code = args.handler(args)
+    except _Help as request:
+        sys.stdout.write(str(request))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.table)
+    try:
+        _emit(report, args.table)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: leave no traceback, and point stdout at devnull
+        # so the interpreter's last flush cannot fail again; 141 = 128 + SIGPIPE
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import warnings
 from math import gcd
-from typing import Iterable, Sequence
 
 from .records import Record
+
+# annotations only: `typing` (with `re`) is not imported when the program runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence
 
 
 class DisconnectedCoverWarning(UserWarning):

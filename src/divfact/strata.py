@@ -12,10 +12,14 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .records import Record
 from .weights import WeightVector
+
+# annotations only: `typing` (with `re`) is not imported when the program runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Sequence
 
 
 class BoundaryCut(Record):
@@ -100,6 +104,15 @@ def enumerate_fcurves(n: int) -> list[SetPartition4]:
     number S(n, 4).
     """
     return list(_fcurves_cached(n))
+
+
+def count_fcurves(n: int) -> int:
+    """The number of F-curves of n >= 4 points, S(n, 4), without listing them.
+
+    Inclusion-exclusion over the blocks left empty:
+    S(n, 4) = (4^n - 4 * 3^n + 6 * 2^n - 4) / 4!.
+    """
+    return (4**n - 4 * 3**n + 6 * 2**n - 4) // 24
 
 
 @lru_cache(maxsize=4)

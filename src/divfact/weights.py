@@ -9,16 +9,21 @@ and the pair of mod-r rules that push weights to the two sides of a
 boundary cut.
 
 All arithmetic is exact; rationals are `fractions.Fraction` throughout.
+`fractions` (with `decimal`) is imported only where a rational is made, so
+the integer paths never load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
 from .records import Record
 
-Rational = Fraction | int
+# annotations only: `typing` (with `re`) is not imported when the program runs
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Iterable, Iterator, Sequence
+
+    Rational = Fraction | int
 
 
 class WeightVector(Record):
@@ -64,6 +69,8 @@ class Linearization(Record):
     __slots__ = ("entries", "d")
 
     def __init__(self, entries: Iterable[Rational], d: int) -> None:
+        from fractions import Fraction
+
         entries = tuple(Fraction(e) for e in entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "d", d)
@@ -95,6 +102,8 @@ def in_hypersimplex(entries: Sequence[Rational], d: int) -> bool:
         raise ValueError("empty weight vector")
     if d < 1:
         raise ValueError(f"ambient dimension must be >= 1, got d={d}")
+    from fractions import Fraction
+
     vals = [Fraction(e) for e in entries]
     if any(v < 0 or v > 1 for v in vals):
         return False
@@ -123,8 +132,9 @@ def split_linearization(
     if not 1 <= d1 <= d - 1:
         raise ValueError(f"d1={d1} must satisfy 1 <= d1 <= d-1 = {d - 1}")
     d2 = d - d1
-    left = sum(c.entries[:n1], Fraction(0))
-    right = sum(c.entries[n1:], Fraction(0))
+    # the entries are Fractions, so the sums are too
+    left = sum(c.entries[:n1])
+    right = sum(c.entries[n1:])
     if left < d1:
         raise RangeConditionError(
             f"sum of first {n1} weights is {left} < d1 = {d1}"

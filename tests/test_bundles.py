@@ -18,6 +18,7 @@ from divfact.bundles import (
 )
 from divfact.strata import SetPartition4, enumerate_boundary_cuts, enumerate_fcurves
 from divfact.weights import WeightVector
+from test_strata import stirling4
 
 
 class TestBaseFormulas:
@@ -177,6 +178,17 @@ class TestVerifyMainTheorem:
         )
         assert reference
         assert report.mismatches == reference
+
+    def test_clean_sweep_counts_fcurves_without_listing_them(self, monkeypatch):
+        def listed(n):
+            raise AssertionError(f"a clean sweep listed the F-curves of n = {n}")
+
+        monkeypatch.setattr(bundles, "enumerate_fcurves", listed)
+        for n in range(4, 13):
+            report = verify_main_theorem(2, n)
+            assert report.ok
+            assert report.fcurves_per_vector == stirling4(n)
+        assert verify_main_theorem(4, 7).fcurves_per_vector == 350
 
     def test_reports_are_deterministic(self):
         # no timing or other run-dependent field in the report

@@ -7,6 +7,7 @@ from divfact.strata import (
     BoundaryCut,
     SetPartition4,
     block_sums,
+    count_fcurves,
     enumerate_boundary_cuts,
     enumerate_fcurves,
     induce_four_weights,
@@ -98,6 +99,10 @@ class TestFCurves:
     def test_counts_match_stirling(self):
         for n in range(4, 11):
             assert len(enumerate_fcurves(n)) == stirling4(n)
+
+    def test_closed_form_count_matches_stirling(self):
+        for n in range(4, 40):
+            assert count_fcurves(n) == stirling4(n)
 
     def test_order_is_lexicographic_growth_strings(self):
         # a block assignment in which each point opens at most the next
