@@ -50,49 +50,7 @@ _EXPORTS = {
     "split_linearization": "weights",
 }
 
-__all__ = [
-    "BoundaryCut",
-    "BundleFamily",
-    "CoverSpec",
-    "DegenerationData",
-    "DegreeVector",
-    "DisconnectedCoverWarning",
-    "InvariantError",
-    "Linearization",
-    "MainTheoremReport",
-    "Poly",
-    "PointConfiguration",
-    "RangeConditionError",
-    "RestrictionReport",
-    "SetPartition4",
-    "Stability",
-    "Tableau",
-    "WeightVector",
-    "attach_block_matrix",
-    "attach_configuration",
-    "check_git_factorization",
-    "deg4_cb",
-    "deg4_cyc",
-    "deg4_git",
-    "degenerate",
-    "degree_vector",
-    "determinant",
-    "enumerate_boundary_cuts",
-    "enumerate_fcurves",
-    "enumerate_tableaux",
-    "evaluate_tableau",
-    "fcurve_degree",
-    "genus",
-    "in_hypersimplex",
-    "induce_four_weights",
-    "is_semistable",
-    "phi_rule",
-    "psi_rule",
-    "split_linearization",
-    "tableau_polynomial",
-    "verify_main_theorem",
-    "verify_restriction_theorem",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> object:

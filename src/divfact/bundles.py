@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .records import MutableRecord, Record
 from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves, split_walk
@@ -112,18 +112,6 @@ _BASE_FORMULAS = {
 def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
     """The family's degree on one class u: sorted residues mod r, sum 0 mod r."""
     return family.degree4(r, u)
-
-
-def _deg4_table(family: BundleFamily, r: int) -> dict[tuple[int, ...], int]:
-    """The family's degree on every class (C(r+3, 4) candidates).
-
-    Only verify_main_theorem builds it; single queries use _deg4_class.
-    """
-    return {
-        u: _deg4_class(family, r, u)
-        for u in combinations_with_replacement(range(r), 4)
-        if sum(u) % r == 0
-    }
 
 
 def _four_point_class(
@@ -229,36 +217,32 @@ class MainTheoremReport(MutableRecord):
 
 
 def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
-    """Compare the three degree vectors over all admissible weights.
+    """Compare the three families' degrees on every four-point class.
 
     Covers every c in {0, ..., r-1}^n with r dividing the sum, on every
     F-curve.  Each such pair reads its degrees from the four-point class
-    of its block sums, and every class occurs (c = (u, 0, ..., 0) on the
-    F-curve 1/2/3/4..n), so comparing the three class tables decides the
-    whole sweep.  F-curves and witnesses are enumerated only for
-    disagreeing classes; a clean sweep only counts the F-curves.  Any
-    mismatch signals an implementation bug; the report carries them
-    sorted for reproducibility.
+    of its block sums, and every class u occurs (c = (u, 0, ..., 0) on the
+    F-curve 1/2/3/4..n), so one pass over the classes decides the whole
+    sweep; the F-curves are only counted.  Any mismatch signals an
+    implementation bug; the report carries one, on that witness, per
+    disagreeing class, in sorted order.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    cb, git, cyc = (_deg4_table(f, r) for f in BundleFamily)
-    bad = {u for u in cb if not cb[u] == git[u] == cyc[u]}
+    witness = SetPartition4(n, ({1}, {2}, {3}, range(4, n + 1)))
+    pad = (0,) * (n - 4)
     mismatches = []
-    if bad:
-        fcurves = enumerate_fcurves(n)
-        for c in product(range(r), repeat=n):
-            if sum(c) % r != 0:
-                continue
-            for p in fcurves:
-                u = _four_point_class(r, c, p.blocks)
-                if u in bad:
-                    mismatches.append(Mismatch(c, p, cb[u], git[u], cyc[u]))
-        mismatches.sort(
-            key=lambda m: (m.c, tuple(sorted(tuple(sorted(b)) for b in m.partition.blocks)))
-        )
+    # the last residue is fixed by the other three: each sorted class once,
+    # in lexicographic order
+    for head in combinations_with_replacement(range(r), 3):
+        u = head + (-sum(head) % r,)
+        if u[3] < u[2]:
+            continue
+        cb, git, cyc = (_deg4_class(f, r, u) for f in BundleFamily)
+        if not cb == git == cyc:
+            mismatches.append(Mismatch(u + pad, witness, cb, git, cyc))
     return MainTheoremReport(
         r=r,
         n=n,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Hashable, Iterator, Sequence
@@ -355,36 +354,6 @@ def attach_configuration(
 # the restriction map on tableau functions
 
 
-@lru_cache(maxsize=None)
-def _column_sign(d1: int, d2: int, wide_first: bool) -> int:
-    """Sign relating a restricted column minor to its two-factor product.
-
-    Determined once per column pattern by direct symbolic evaluation on
-    the smallest instance (n1 = d1 + 1, n2 = d2 + 1); `wide_first` marks
-    the pattern with d1 + 1 entries in the first block.
-    """
-    n1, n2 = d1 + 1, d2 + 1
-    b = attach_block_matrix(d1, d2, n1, n2)
-    a1, a2 = side_matrices(d1, n1, d2, n2)
-    if wide_first:
-        ambient = tuple(range(1, d1 + 2)) + tuple(range(n1 + 1, n1 + d2 + 1))
-        left = tuple(range(1, d1 + 2))
-        right = tuple(range(1, d2 + 1)) + (n2 + 1,)
-    else:
-        ambient = tuple(range(1, d1 + 1)) + tuple(range(n1 + 1, n1 + d2 + 2))
-        left = tuple(range(1, d1 + 1)) + (n1 + 1,)
-        right = tuple(range(1, d2 + 2))
-    lhs = tableau_polynomial([ambient], b)
-    rhs = tableau_polynomial([left], a1) * tableau_polynomial([right], a2)
-    if lhs == rhs:
-        return 1
-    if lhs == -rhs:
-        return -1
-    raise AssertionError(
-        f"restricted minor is not proportional to its factors for d1={d1}, d2={d2}"
-    )
-
-
 def _mu_columns(
     t: Tableau, n1: int, n2: int, d1: int, d2: int
 ) -> tuple[int, list[Column], list[Column]] | None:
@@ -396,13 +365,22 @@ def _mu_columns(
     restriction = sign * left function * right function exactly.  Left
     columns keep t's order; on the right the narrow pattern's come first,
     the only order that can be semistandard.  A factor need not be.
+
+    The sign is (-1)^(d2 * wide columns).  Rows 0..d1-1 of the glued
+    matrix vanish on second-block columns and rows d1+1..d on first-block
+    ones, so each column minor is block-triangular.  A wide column (d1+1
+    first-block entries) gives det(first block) * det(second block without
+    its row 0); its right factor carries the attaching point e_0 last, in
+    column d2 + 1, and expanding along it gives (-1)^d2 times that second
+    minor.  A narrow column gives det(first block without its row d1) *
+    det(second block); its left factor carries e_d1 last, on the diagonal,
+    which gives sign +1.
     """
     if t.d != d1 + d2:
         raise ValueError(f"tableau height {t.d + 1} does not match d1+d2+1 = {d1 + d2 + 1}")
     for col in t.columns:
         if col[-1] > n1 + n2:
             raise ValueError(f"column {col} has entries beyond n = {n1 + n2}")
-    sign = 1
     left: list[Column] = []
     right_narrow: list[Column] = []
     right_wide: list[Column] = []
@@ -412,14 +390,12 @@ def _mu_columns(
         if len(first) == d1 + 1:
             left.append(first)
             right_wide.append(second + (n2 + 1,))
-            sign *= _column_sign(d1, d2, True)
         elif len(first) == d1:
             left.append(first + (n1 + 1,))
             right_narrow.append(second)
-            sign *= _column_sign(d1, d2, False)
         else:
             return None
-    return sign, left, right_narrow + right_wide
+    return (-1) ** (d2 * len(right_wide)), left, right_narrow + right_wide
 
 
 class _SideSpan:

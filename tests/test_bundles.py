@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from divfact import bundles, strata, weights
 from divfact.bundles import (
     BundleFamily,
-    Mismatch,
     check_git_factorization,
     deg4_cb,
     deg4_cyc,
@@ -153,7 +152,8 @@ class TestVerifyMainTheorem:
     @pytest.mark.parametrize("family", list(BundleFamily))
     def test_planted_fault_matches_exhaustive_reference(self, family, monkeypatch):
         # shift one four-point class of one family; the class check must
-        # report exactly the (c, F-curve) pairs an exhaustive sweep finds
+        # report exactly the classes of the (c, F-curve) pairs an exhaustive
+        # sweep finds, once each, in sorted order, on witnesses that disagree
         base = bundles._BASE_FORMULAS[family]
 
         def shifted(r, c):
@@ -163,21 +163,62 @@ class TestVerifyMainTheorem:
         monkeypatch.setitem(bundles._BASE_FORMULAS, family, shifted)
         try:
             report = verify_main_theorem(3, 5)
-            reference = []
+            reference = set()
             for c in product(range(3), repeat=5):
                 if sum(c) % 3:
                     continue
                 for p in enumerate_fcurves(5):
                     cb, git, cyc = (fcurve_degree(f, 3, c, p) for f in BundleFamily)
                     if not cb == git == cyc:
-                        reference.append(Mismatch(c, p, cb, git, cyc))
+                        reference.add(bundles._four_point_class(3, c, p.blocks))
+            witnessed = [
+                tuple(fcurve_degree(f, 3, m.c, m.partition) for f in BundleFamily)
+                for m in report.mismatches
+            ]
         finally:
             bundles._deg4_class.cache_clear()
-        reference.sort(
-            key=lambda m: (m.c, tuple(sorted(tuple(sorted(b)) for b in m.partition.blocks)))
-        )
-        assert reference
-        assert report.mismatches == reference
+        assert reference == {(1, 1, 2, 2)}
+        classes = [bundles._four_point_class(3, m.c, m.partition.blocks) for m in report.mismatches]
+        assert classes == sorted(reference)
+        for m, degrees in zip(report.mismatches, witnessed):
+            assert degrees == (m.cb, m.git, m.cyc)
+            assert len(set(degrees)) > 1
+
+    def test_planted_fault_lists_no_fcurves(self, monkeypatch):
+        # one record per disagreeing class, found without any F-curve list
+        def listed(n):
+            raise AssertionError(f"the sweep listed the F-curves of n = {n}")
+
+        base = bundles._BASE_FORMULAS[BundleFamily.CYC]
+
+        def shifted(r, c):
+            return base(r, c) + (1 if sorted(c)[0] == 1 else 0)
+
+        bundles._deg4_class.cache_clear()
+        monkeypatch.setitem(bundles._BASE_FORMULAS, BundleFamily.CYC, shifted)
+        monkeypatch.setattr(bundles, "enumerate_fcurves", listed)
+        try:
+            report = verify_main_theorem(4, 12)
+        finally:
+            bundles._deg4_class.cache_clear()
+        # the classes mod 4 with least residue 1: (1,1,1,1), (1,1,3,3), (1,2,2,3)
+        assert [m.c[:4] for m in report.mismatches] == [(1, 1, 1, 1), (1, 1, 3, 3), (1, 2, 2, 3)]
+        for m in report.mismatches:
+            assert m.c[4:] == (0,) * 8
+            assert m.partition.label() == "1/2/3/4,5,6,7,8,9,10,11,12"
+            assert m.cyc == m.git + 1 == m.cb + 1
+
+    def test_sweep_memory_is_flat_in_r(self):
+        bundles._deg4_class.cache_clear()
+        tracemalloc.start()
+        try:
+            assert verify_main_theorem(90, 4).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            bundles._deg4_class.cache_clear()
+        # about 30,000 classes, but only the bounded memo is kept
+        assert peak < 3_000_000
 
     def test_clean_sweep_counts_fcurves_without_listing_them(self, monkeypatch):
         def listed(n):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -359,6 +360,26 @@ class TestOutputShape:
         assert "genus=1" in out
 
 
+def readme_examples():
+    """The argv of each `divfact ...` line in README's command-line usage block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("divfact ")]
+
+
+class TestReadmeExamples:
+    def test_examples_are_read(self):
+        assert len(readme_examples()) == 9
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+    def test_example_runs(self, capsys, argv):
+        code = cli.main(["--table", *argv])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert captured.out.endswith("status: ok\n")
+
+
 class TestBadR:
     @pytest.mark.parametrize(
         "argv",
@@ -415,12 +436,12 @@ class TestBlamedFlag:
 
 class TestLargeR:
     def test_single_queries_skip_the_class_table(self, capsys, monkeypatch):
-        # a full table at r = 1000 has ~4e10 candidate classes; single
-        # queries must look up only the classes they meet
-        def no_table(family, r):
-            raise AssertionError("single query built the full class table")
+        # r = 1000 has ~1.7e8 candidate classes; single queries must look
+        # up only the classes they meet, never walk them all
+        def no_walk(*args):
+            raise AssertionError("single query walked the candidate classes")
 
-        monkeypatch.setattr(bundles, "_deg4_table", no_table)
+        monkeypatch.setattr(bundles, "combinations_with_replacement", no_walk)
         start = time.perf_counter()
         code, report = run_json(
             capsys,

@@ -108,6 +108,26 @@ def test_command_loads_only_what_it_runs(argv):
     assert [name for name in heavy if name in loaded] == []
 
 
+def test_cover_warning_is_one_plain_line():
+    # the default warning display would print the CLI's path and a source
+    # line, and load linecache, tokenize and re to do so
+    script = (
+        "import sys, divfact.cli\n"
+        "code = divfact.cli.main(['cover', '--r', '4', '--weights', '2,2,2,2'])\n"
+        "print(code, [m for m in ('linecache', 'tokenize', 're') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stderr == (
+        "warning: gcd of branch weights and r=4 is 2 > 1; the cover may be disconnected\n"
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
 def test_package_import_is_lazy():
     loaded = loaded_after("import divfact\nassert divfact.is_semistable.__name__ == 'is_semistable'")
     assert "divfact.invariants" in loaded

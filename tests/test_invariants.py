@@ -305,6 +305,9 @@ class TestMuDecompose:
             (Tableau(2, 1, ((1, 2, 3),)), (2, 2, 1, 1)),
             (Tableau(2, 2, ((1, 3, 5), (2, 4, 6))), (3, 3, 1, 1)),
             (Tableau(3, 1, ((1, 2, 3, 5),)), (4, 2, 2, 1)),
+            # d2 = 2: a wide column's sign is (-1)^d2 = +1, a narrow one's +1
+            (Tableau(3, 2, ((1, 2, 3, 4), (1, 3, 4, 5))), (2, 3, 1, 2)),
+            (Tableau(4, 2, ((1, 2, 3, 4, 5), (1, 2, 4, 5, 6))), (3, 3, 2, 2)),
         ]:
             sign, left, right = _mu_columns(t, n1, n2, d1, d2)
             b = attach_block_matrix(d1, d2, n1, n2)
