@@ -165,8 +165,10 @@ def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict,
     """Degrees on every F-curve, one prefix of strata.split_walk at a time.
 
     Returns split_walk's plan and per prefix (used, texts, degrees), degrees[j]
-    on the F-curve that plan[used][j] completes: one lookup per distinct gain,
-    nothing kept per F-curve, all 0 if r does not divide |c| (trivial bundle)."""
+    on the F-curve that plan[used][j] completes, as a tuple; all 0 if r does
+    not divide |c| (trivial bundle).  The degrees depend only on (used, sums),
+    so each such row is read once, one lookup per distinct gain, and kept in a
+    bounded memo; nothing is kept per F-curve."""
     entries = tuple(int(x) for x in c)
     _check_modulus(r)
     plan, prefixes = split_walk(r, entries)
@@ -177,17 +179,20 @@ def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict,
         index = [distinct.setdefault(gain, len(distinct)) for _, gain in rows]
         groups[used] = index, list(distinct)
 
-    def blocks() -> Iterator[tuple[int, tuple[str, ...], list[int]]]:
-        for used, texts, sums in prefixes:
-            index, gains = groups[used]
-            degrees = [
-                0 if trivial else
-                _deg4_class(family, r, tuple(sorted([(p + g) % r for p, g in zip(sums, gain)])))
-                for gain in gains
-            ]
-            yield used, texts, [degrees[i] for i in index]
+    # bounded: at large r nearly every prefix has its own sums
+    @lru_cache(maxsize=256)
+    def row(used: int, sums: tuple[int, ...]) -> tuple[int, ...]:
+        index, gains = groups[used]
+        if trivial:
+            return (0,) * len(index)
+        degrees = [
+            _deg4_class(family, r, tuple(sorted([(p + g) % r for p, g in zip(sums, gain)])))
+            for gain in gains
+        ]
+        return tuple([degrees[i] for i in index])
 
-    return plan, blocks()
+    blocks = ((used, texts, row(used, sums)) for used, texts, sums in prefixes)
+    return plan, blocks
 
 
 def degree_vector(family: BundleFamily, r: int, c: Sequence[int]) -> DegreeVector:

@@ -112,6 +112,11 @@ def _family(flag: str, name: str) -> BundleFamily:
         raise UsageError(flag, f"unknown family {name!r}; choose cb, git, or cyc")
 
 
+def _marked_points(weights: Sequence[int]) -> None:
+    if len(weights) < 4:
+        raise UsageError("--weights", "need at least 4 marked points")
+
+
 _CHUNK = 1 << 16  # characters of output per write to stdout
 
 
@@ -219,18 +224,20 @@ def _json_string(text: str) -> str:
     return '"' + "".join(out) + '"'
 
 
-# one degvec record {"degree": d, "fcurve": label} as _emit renders it: % puts
-# in the degree's field number and the texts a completion adds to the blocks,
-# then str.format the prefix's block texts {0}..{3} and the degree.  Labels
-# hold only digits, commas and slashes, which JSON keeps as is
-_DEGVEC_JSON = '{{\n      "degree": {%d},\n      "fcurve": "{0}%s/{1}%s/{2}%s/{3}%s"\n    }}'
-_DEGVEC_TABLE = "degree={%d}  fcurve={0}%s/{1}%s/{2}%s/{3}%s"
+# one degvec record {"degree": d, "fcurve": label} as _emit renders it: a first
+# % puts in the texts a completion adds to the blocks and leaves a %d for the
+# degree; each prefix then fills the %d slots with its degrees and replaces the
+# markers \0..\3 with its four block texts.  Labels hold only digits, commas
+# and slashes, which JSON keeps as is, so no text can hold a marker or a %
+_DEGVEC_JSON = '{\n      "degree": %%d,\n      "fcurve": "\0%s/\1%s/\2%s/\3%s"\n    }'
+_DEGVEC_TABLE = "degree=%%d  fcurve=\0%s/\1%s/\2%s/\3%s"
 
 
 def _cmd_degree(args) -> tuple[dict, int]:
     _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
+    _marked_points(weights)
     partition = _parse_partition("--partition", args.partition, len(weights))
     deg = fcurve_degree(family, args.r, weights, partition)
     if sum(weights) % args.r == 0:
@@ -256,16 +263,16 @@ def _cmd_degvec(args) -> tuple[dict, int]:
     _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
-    if len(weights) < 4:
-        raise UsageError("--weights", "need at least 4 marked points")
+    _marked_points(weights)
     plan, blocks = degree_blocks(family, args.r, weights)
-    # all records of one prefix come from one template, its degrees {4}, {5}, ...
+    # all records of one prefix come from one template, one %d per degree
     record, sep = (_DEGVEC_TABLE, "\n") if args.table else (_DEGVEC_JSON, ",\n    ")
-    templates = {
-        used: sep.join(record % (4 + j, *tail) for j, (tail, _) in enumerate(rows))
-        for used, rows in plan.items()
-    }
-    results = (templates[used].format(*texts, *degrees) for used, texts, degrees in blocks)
+    templates = {used: sep.join(record % tail for tail, _ in rows) for used, rows in plan.items()}
+    results = (
+        (templates[used] % degrees)
+        .replace("\0", a).replace("\1", b).replace("\2", c).replace("\3", d)
+        for used, (a, b, c, d), degrees in blocks
+    )
     report = {
         "command": "degvec",
         "parameters": {"family": family.value, "r": args.r, "weights": list(weights)},
@@ -314,6 +321,7 @@ def _cmd_verify_main(args) -> tuple[dict, int]:
 def _cmd_factor_check(args) -> tuple[dict, int]:
     _at_least("--r", args.r, 1)
     weights = _parse_ints("--weights", args.weights)
+    _marked_points(weights)
     cut = _parse_ints("--cut", args.cut)
     try:
         BoundaryCut(len(weights), cut)
@@ -350,6 +358,7 @@ def _cmd_cover(args) -> tuple[dict, int]:
             print(f"warning: {warning.message}", file=sys.stderr)
         results = [{"genus": g}]
     else:
+        _marked_points(weights)
         _between("--split", args.split, 2, spec.n - 2)
         data = degenerate(spec, args.split)
         results = [

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import permutations, product
 
@@ -11,11 +12,12 @@ from divfact.bundles import (
     deg4_cb,
     deg4_cyc,
     deg4_git,
+    degree_blocks,
     degree_vector,
     fcurve_degree,
     verify_main_theorem,
 )
-from divfact.strata import SetPartition4, enumerate_boundary_cuts, enumerate_fcurves
+from divfact.strata import SetPartition4, enumerate_boundary_cuts, enumerate_fcurves, split_walk
 from divfact.weights import WeightVector
 from test_strata import stirling4
 
@@ -131,6 +133,51 @@ class TestDegreeVector:
         a = degree_vector(BundleFamily.CB, 2, (1, 1, 1, 1, 0, 0))
         b = degree_vector(BundleFamily.GIT, 2, (1, 1, 1, 1, 0, 0))
         assert a == b
+
+
+class TestDegreeBlocks:
+    def test_one_lookup_per_row_and_gain(self, monkeypatch):
+        # a prefix's degrees depend only on (blocks opened, prefix sums): each
+        # distinct row is read once, one lookup per distinct gain in it
+        r, c = 5, (0, 0, 2, 3, 4, 0, 2, 3, 2, 4)
+        plan, prefixes = split_walk(r, c)
+        rows = {(used, sums, gain) for used, _, sums in prefixes for _, gain in plan[used]}
+        lookups = []
+        deg4_class = bundles._deg4_class
+
+        def counted(family, modulus, u):
+            lookups.append(u)
+            return deg4_class(family, modulus, u)
+
+        monkeypatch.setattr(bundles, "_deg4_class", counted)
+        _, blocks = degree_blocks(BundleFamily.CYC, r, c)
+        assert sum(len(degrees) for _, _, degrees in blocks) == stirling4(10)
+        assert len(lookups) == len(rows) == 3084
+
+    def test_row_memo_stays_bounded(self):
+        # at r = 1000 nearly every one of the 715 prefixes of n = 11 has its
+        # own sums; the memo keeps at most 256 rows, so draining must stay
+        # well below keeping every row
+        c = (137, 582, 867, 821, 782, 64, 261, 120, 507, 779, 80)
+
+        def peak(keep):
+            bundles._deg4_class.cache_clear()
+            tracemalloc.start()
+            try:
+                kept = []
+                for _, _, degrees in degree_blocks(BundleFamily.GIT, 1000, c)[1]:
+                    if keep:
+                        kept.append(degrees)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                bundles._deg4_class.cache_clear()
+
+        _, blocks = degree_blocks(BundleFamily.GIT, 1000, c)
+        rows = [sys.getsizeof(degrees) for _, _, degrees in blocks]
+        drained, kept = peak(False), peak(True)
+        assert len(rows) == 715
+        assert kept - drained > sum(rows) / 3, f"peak {drained} bytes drained, {kept} kept"
 
 
 class TestVerifyMainTheorem:

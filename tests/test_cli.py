@@ -75,6 +75,13 @@ class TestDegree:
         assert code == 2
         assert "--family" in capsys.readouterr().err
 
+    def test_too_few_weights_blames_weights(self, capsys):
+        code = cli.main(
+            ["degree", "--family", "cb", "--r", "3", "--weights", "1,2,0", "--partition", "1/2/3/4"]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+
 
 def degvec_reference(family, r, weights):
     """degvec stdout, JSON and --table, rendered from the whole report at once."""
@@ -127,6 +134,7 @@ class TestDegvec:
             ("cb", 3, "1,2,0,1,2,0,1,2,0,1"),  # n = 10: of six
             ("cyc", 1000, "-999999,250,-123456,77,500,-1,999,3,123128"),  # sum divisible
             ("cb", 1000, "-999999,250,-123456,77,500,-1,999,3,123128,-4"),  # sum not divisible
+            ("git", 1000, "999,1,500,250,250,-3,3,700,300,0"),  # n = 10, degrees of up to three digits
         ],
     )
     def test_stdout_matches_reference_wide(self, capsys, family, r, weights):
@@ -229,6 +237,11 @@ class TestFactorCheck:
         assert code == 2
         assert "--cut" in capsys.readouterr().err
 
+    def test_too_few_weights_blames_weights(self, capsys):
+        code = cli.main(["factor-check", "--r", "2", "--weights", "1,1,1", "--cut", "1,2"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+
 
 class TestCover:
     def test_genus(self, capsys):
@@ -259,6 +272,14 @@ class TestCover:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --split: need 2 <= split <= 2, got {split}\n"
+
+    def test_split_of_too_few_weights_blames_weights(self, capsys):
+        code = cli.main(["cover", "--r", "3", "--weights", "1,2", "--split", "1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+        # without --split, a cover of fewer points still has a genus
+        code, report = run_json(capsys, "cover", "--r", "3", "--weights", "1,2")
+        assert (code, report["results"]) == (0, [{"genus": 0}])
 
     def test_failed_invariant_is_internal_error(self, capsys, monkeypatch):
         # a genus that grows with the point count breaks g = g1 + g2 + s - 1
