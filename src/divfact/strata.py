@@ -10,7 +10,7 @@ weights over blocks mod r.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 
 from .records import Record
@@ -146,13 +146,38 @@ def _growth(used: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
             yield (b,) + rest, end
 
 
-def _fill(r: int, c: Sequence[int], first: int, growth: tuple[int, ...], opened: int):
+def _fill(r: int, c: Sequence[int], first: int, growth: tuple[int, ...]):
     """The text and the weight mod r that points first+1, ... add to each block."""
     texts, sums = ["", "", "", ""], [0, 0, 0, 0]
     for i, b in enumerate(growth, first):
-        texts[b] += f",{i + 1}" if b < opened or texts[b] else str(i + 1)
+        texts[b] += f",{i + 1}" if texts[b] else str(i + 1)
         sums[b] += c[i]
     return tuple(texts), tuple(s % r for s in sums)
+
+
+def _plan(r: int, c: Sequence[int], k: int) -> dict[int, list]:
+    """plan[opened] for opened = 1..4, in one pass over the placements of the
+    last k points; itertools.product yields them in walk order."""
+    points = [(str(i + 1), c[i]) for i in range(len(c) - k, len(c))]
+    plan: dict[int, list] = {opened: [] for opened in range(1, 5)}
+    for growth in product(range(4), repeat=k):
+        # a point may join block b when b <= max(opened, highest block so far + 1)
+        lowest, top = 1, -1
+        texts, sums = ["", "", "", ""], [0, 0, 0, 0]
+        for b, (label, weight) in zip(growth, points):
+            if b > top:
+                if b > top + 1:
+                    lowest = b
+                top = b
+            texts[b] += "," + label
+            sums[b] += weight
+        gains = (sums[0] % r, sums[1] % r, sums[2] % r, sums[3] % r)
+        # a block the prefix opened goes on after a comma; one opened here starts bare
+        continued, opening = tuple(texts), tuple([text[1:] for text in texts])
+        # fewer than four blocks opened before: the suffix must reach block 3
+        for opened in range(lowest if top == 3 else 4, 5):
+            plan[opened].append((continued[:opened] + opening[opened:], gains))
+    return plan
 
 
 def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
@@ -166,12 +191,8 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
     k = min(n - 1, 4)
-    plan = {
-        opened: [_fill(r, c, n - k, g, opened) for g, used in _growth(opened, k) if used == 4]
-        for opened in range(1, 5)
-    }
-    prefixes = ((used, *_fill(r, c, 0, g, 0)) for g, used in _growth(0, n - k))
-    return plan, prefixes
+    prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k))
+    return _plan(r, c, k), prefixes
 
 
 def walk_fcurves(r: int, c: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -664,6 +665,13 @@ class TestNoTraceback:
         _run_without_traceback(argv)
 
 
+def process_env():
+    """The environment of a `python -m divfact.cli` child: this package on the
+    path, and stdout block-buffered as by default, so lost text would show."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 class TestBrokenPipe:
     def test_closed_stdout_exits_141_without_traceback(self):
         # the n = 10 report is 2.4 MB, far more than a pipe holds, so the
@@ -683,6 +691,84 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == 141
         assert head == b'{\n  "comma'
         assert err == b""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["degree", "--help"]])
+    def test_help_into_closed_stdout_exits_141_without_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "divfact.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=process_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+
+# one argv per command (those of tests/test_imports.py), then --table, a
+# usage error, help, the cover warning and a 2.4 MB degvec at n = 10
+DEGVEC_N10 = ["degvec", "--family", "cb", "--r", "3", "--weights", "1,2,0,1,2,0,1,2,0,1"]
+PROCESS_ARGVS = [
+    ["degree", "--family", "cb", "--r", "2", "--weights", "1,1,1,1,0", "--partition", "1/2/3/4,5"],
+    ["degvec", "--family", "git", "--r", "4", "--weights", "2,1,3,3,1,2"],
+    ["verify-main", "--r", "3", "--n", "5"],
+    ["factor-check", "--r", "4", "--weights", "2,1,3,3,1,2", "--cut", "1,2,3"],
+    ["--table", "cover", "--r", "4", "--weights", "2,1,3,3,1,2", "--split", "3"],
+    ["tableaux", "--d", "2", "--k", "2", "--content", "1,1,1,1,1,1", "--restrict", "--n1", "3", "--d1", "1"],
+    ["semistable", "--d", "1", "--weights", "1/2,1/2,1/2,1/2", "--points", "1,0;0,1;1,1;2,1"],
+    ["--table", "degvec", "--family", "git", "--r", "4", "--weights", "2,1,3,3,1,2"],
+    ["degvec", "--family", "cb", "--r", "0", "--weights", "1,1,1,1"],
+    ["--help"],
+    ["cover", "--r", "4", "--weights", "2,2,2,2"],
+    DEGVEC_N10,
+]
+
+
+def _masked(err: bytes) -> bytes:
+    """stderr with verify-main's elapsed time replaced by its shape."""
+    return re.sub(rb"in \d+\.\d\ds\n", b"in N.NNs\n", err)
+
+
+class TestWholeProcess:
+    """`python -m divfact.cli` ends with os._exit: it must lose no output."""
+
+    @staticmethod
+    def in_process(capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return captured.out.encode(), _masked(captured.err.encode()), code
+
+    @staticmethod
+    def spawn(argv, **streams):
+        return subprocess.run(
+            [sys.executable, "-m", "divfact.cli", *argv],
+            env=process_env(),
+            timeout=120,
+            **streams,
+        )
+
+    @pytest.mark.parametrize("argv", PROCESS_ARGVS, ids=lambda argv: " ".join(argv)[:40])
+    def test_same_bytes_and_code_as_main(self, capsys, argv):
+        want = self.in_process(capsys, argv)
+        done = self.spawn(argv, capture_output=True)
+        assert (done.stdout, _masked(done.stderr), done.returncode) == want
+        assert want[2] in (0, 2) and (want[0] or want[1])
+
+    def test_large_report_into_a_file(self, capsys, tmp_path):
+        want = self.in_process(capsys, DEGVEC_N10)
+        assert len(want[0]) > 2_000_000
+        path = tmp_path / "out.json"
+        with open(path, "wb") as out:
+            done = self.spawn(DEGVEC_N10, stdout=out, stderr=subprocess.PIPE)
+        assert (path.read_bytes(), done.stderr, done.returncode) == want
+
+    def test_installed_command_is_run(self):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert 'divfact = "divfact.cli:run"' in text
 
 
 class TestHelp:

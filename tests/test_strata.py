@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from divfact import strata
 from divfact.strata import (
     BoundaryCut,
     SetPartition4,
@@ -124,6 +125,28 @@ class TestFCurves:
             parts = enumerate_fcurves(n)
             assert [label for label, _ in walked] == [p.label() for p in parts]
             assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
+
+    def test_suffix_plan_matches_growth_reference(self):
+        # the plan as the restricted-growth recursion builds it: every
+        # continuation of `opened` blocks that ends with four, filled in turn
+        def fill(r, c, first, growth, opened):
+            texts, sums = ["", "", "", ""], [0, 0, 0, 0]
+            for i, b in enumerate(growth, first):
+                texts[b] += f",{i + 1}" if b < opened or texts[b] else str(i + 1)
+                sums[b] += c[i]
+            return tuple(texts), tuple(s % r for s in sums)
+
+        rng = random.Random(5)
+        for n in range(4, 10):
+            k = min(n - 1, 4)
+            for r in (1, 2, 5, 1000):
+                c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
+                want = {
+                    opened: [fill(r, c, n - k, g, opened) for g, used in strata._growth(opened, k) if used == 4]
+                    for opened in range(1, 5)
+                }
+                plan, _ = strata.split_walk(r, c)
+                assert plan == want and list(plan) == [1, 2, 3, 4]
 
     def test_walk_rejects_fewer_than_four_points(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,19 @@ The workloads and S, the run length, are read from BENCHMARK.json:
   seeds); medians, quartiles (statistics.quantiles, n=4) and every run;
 - two traced pairs, `--trace 1` with seeds 0 (parent first) and 1
   (change first), which report every per-layer metric;
-- the sha256 of stdout and the exit code of one fresh
-  `python3 -m divfact.cli` process per argv, on both sides: the `cli` and
-  `wide` argvs of seeds 0 and 7 as divbench/worker.py makes them, README's
-  usage examples, degvec at n = 11 and 12 and the too-few-weights cases,
-  each with and without --table.
+- the sha256 of stdout and of stderr (verify-main's elapsed time masked)
+  and the exit code of one fresh `python3 -m divfact.cli` process per
+  argv, on both sides, with stdout block-buffered (PYTHONUNBUFFERED
+  unset): the `cli` and `wide` argvs of seeds 0 and 7 as
+  divbench/worker.py makes them, README's usage examples, degvec at
+  n = 11 and 12 and the too-few-weights cases, each with and without
+  --table;
+- per process, 20 interleaved rounds (parent first on even rounds) of
+  `-c pass`, `-c "import divfact.cli"`, each `wide` argv of seed 0 and the
+  degvec argvs of `cli` seed 0, compiled and in the environment
+  divbench/run.py gives its processes, each spawned and reaped with
+  os.wait4 as divbench/launcher.py does; the median wall and CPU time of
+  each.
 
 Standard library only.  Nothing is written outside --work and --out.
 """
@@ -27,12 +35,15 @@ Standard library only.  Nothing is written outside --work and --out.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
+import importlib
 import io
 import json
 import os
 import platform
 import random
+import re
 import shlex
 import shutil
 import statistics
@@ -40,9 +51,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 PAIRS = 10
+ROUNDS = 20
 SIDES = ("parent", "change")
+VERIFY_MAIN_TIME = re.compile(rb" in \d+\.\d\ds\n")
 
 
 def export(rev: str, dest: str) -> None:
@@ -118,21 +132,35 @@ def traced(trees: dict, seconds: float) -> dict:
     }
 
 
-def argv_groups(tree: str) -> dict[str, list[list[str]]]:
-    """The argvs whose stdout is compared, by group, as made from tree's files."""
+def load_bench(tree: str, name: str):
+    """A module of tree's divbench: worker makes the benchmark's argvs, run its
+    processes' environment."""
     sys.path.insert(0, os.path.join(tree, "divbench"))
     try:
-        import worker
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
+
+
+def cli_argvs(worker, seed: int) -> list[list[str]]:
+    return [[op.command, *op.argv[3:]] for op in worker.cli_ops(random.Random(seed))]
+
+
+def wide_argvs(worker, seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    return [
+        ["degvec", "--family", family, "--r", str(r), "--weights", worker.csv(worker.random_weights(rng, r, worker.WIDE_N))]
+        for family, r in worker.WIDE_DEGVEC
+    ] + [["verify-main", "--r", str(worker.WIDE_VERIFY[0]), "--n", str(worker.WIDE_VERIFY[1])]]
+
+
+def argv_groups(tree: str) -> dict[str, list[list[str]]]:
+    """The argvs whose output is compared, by group, as made from tree's files."""
+    worker = load_bench(tree, "worker")
     groups = {}
     for seed in (0, 7):
-        groups[f"cli seed {seed}"] = [[op.command, *op.argv[3:]] for op in worker.cli_ops(random.Random(seed))]
-        rng = random.Random(seed)
-        groups[f"wide seed {seed}"] = [
-            ["degvec", "--family", family, "--r", str(r), "--weights", worker.csv(worker.random_weights(rng, r, worker.WIDE_N))]
-            for family, r in worker.WIDE_DEGVEC
-        ] + [["verify-main", "--r", str(worker.WIDE_VERIFY[0]), "--n", str(worker.WIDE_VERIFY[1])]]
+        groups[f"cli seed {seed}"] = cli_argvs(worker, seed)
+        groups[f"wide seed {seed}"] = wide_argvs(worker, seed)
     with open(os.path.join(tree, "README.md")) as f:
         text = f.read()
     block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -155,31 +183,91 @@ def argv_groups(tree: str) -> dict[str, list[list[str]]]:
     }
 
 
-def stdout_hashes(trees: dict) -> dict:
+def output_hashes(trees: dict) -> dict:
     groups = argv_groups(trees["change"])
     by_argv, by_group, differ = {}, {}, []
+    # block-buffered stdout, as by default: text a process failed to flush would show
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     for group, argvs in groups.items():
         joined = {side: hashlib.sha256() for side in SIDES}
         for argv in argvs:
             seen = {}
             for side in SIDES:
-                env = dict(os.environ, PYTHONPATH=os.path.join(trees[side], "src"))
                 done = subprocess.run([sys.executable, "-m", "divfact.cli", *argv], cwd=trees[side],
-                                      env=env, capture_output=True)
+                                      env=dict(env, PYTHONPATH=os.path.join(trees[side], "src")),
+                                      capture_output=True)
                 joined[side].update(done.stdout)
-                seen[side] = f"{hashlib.sha256(done.stdout).hexdigest()} exit {done.returncode}"
+                err = VERIFY_MAIN_TIME.sub(b" in N.NNs\n", done.stderr)
+                seen[side] = (f"{hashlib.sha256(done.stdout).hexdigest()} exit {done.returncode}"
+                              f" stderr {hashlib.sha256(err).hexdigest()}")
             key = f"{group}: {shlex.join(argv)}"
             by_argv[key] = seen["change"]
             if seen["parent"] != seen["change"]:
                 differ.append({"argv": key, **seen})
         by_group[f"{group} ({len(argvs)} argvs)"] = joined["change"].hexdigest()
     return {
-        "note": "sha256 of stdout and the exit code per argv, each a fresh `python -m divfact.cli` process;"
-                " groups hash their argvs' stdout concatenated in order (change side)",
+        "note": "sha256 of stdout, the exit code and sha256 of stderr (verify-main's time masked) per argv,"
+                " each a fresh `python -m divfact.cli` process; groups hash their argvs' stdout"
+                " concatenated in order (change side)",
         "equal_on_both_sides": not differ,
         "argvs": len(by_argv),
         "differ": differ,
         "by_group": by_group,
+        "by_argv": by_argv,
+    }
+
+
+def spawn(tree: str, env: dict, argv: list[str], sink: str) -> tuple[float, float, int]:
+    """Wall and CPU milliseconds and the exit code of one `python3 argv` process,
+    stdout and stderr sent to a file, reaped with os.wait4."""
+    with open(sink, "wb") as out:
+        start = time.perf_counter_ns()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=tree, env=env, stdout=out, stderr=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = (time.perf_counter_ns() - start) / 1e6
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, (usage.ru_utime + usage.ru_stime) * 1e3, proc.returncode
+
+
+def per_process(trees: dict, work: str) -> dict:
+    worker, run = load_bench(trees["change"], "worker"), load_bench(trees["change"], "run")
+    # as in divbench/run.py: compiled bytecode, and the environment of its processes
+    envs = {}
+    for side in SIDES:
+        compileall.compile_dir(os.path.join(trees[side], "src", "divfact"), maxlevels=0, quiet=1)
+        envs[side] = run.child_env(trees[side])
+    argvs = [["-c", "pass"], ["-c", "import divfact.cli"]] + [
+        ["-m", "divfact.cli", *argv]
+        for argv in wide_argvs(worker, 0) + [a for a in cli_argvs(worker, 0) if a[0] == "degvec"]
+    ]
+    runs = {shlex.join(argv): {side: {"wall_ms": [], "cpu_ms": []} for side in SIDES} for argv in argvs}
+    codes = {}  # the benchmark's bad --r calls exit 2; every run of an argv must agree
+    sink = os.path.join(work, "process.out")
+    for i in range(ROUNDS):
+        for argv in argvs:
+            key = shlex.join(argv)
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                wall, cpu, code = spawn(trees[side], envs[side], argv, sink)
+                if codes.setdefault(key, code) != code:
+                    raise SystemExit(f"{side}: python3 {key} exited {code}, other runs {codes[key]}")
+                runs[key][side]["wall_ms"].append(wall)
+                runs[key][side]["cpu_ms"].append(cpu)
+        print(f"per-process round {i} done", file=sys.stderr, flush=True)
+    by_argv = {}
+    for key, sides in runs.items():
+        walls = [sides[side]["wall_ms"] for side in SIDES]
+        by_argv[key] = {
+            "exit": codes[key],
+            **{side: {name: round(statistics.median(values), 2) for name, values in sides[side].items()}
+               for side in SIDES},
+            "change_lower_wall_in_rounds": sum(c < p for p, c in zip(*walls)),
+        }
+    return {
+        "protocol": f"python3 ARGV in divbench/run.py's child_env (PYTHONPATH=<side>/src), bytecode"
+                    f" compiled, {ROUNDS} rounds; in each round every argv"
+                    " runs on both sides (parent first on even rounds), stdout and stderr to a file,"
+                    " reaped with os.wait4; wall is spawn to reap, CPU is ru_utime + ru_stime; medians in ms",
+        "rounds": ROUNDS,
         "by_argv": by_argv,
     }
 
@@ -208,7 +296,8 @@ def main() -> int:
         "protocol": f"python3 divbench/run.py --workload W --seed i --seconds {seconds:g} --trace 0,"
                     f" seeds 0-{PAIRS - 1}, parent and change alternating (parent first on even seeds),"
                     " each side from a clean copy of its tree; quartiles by statistics.quantiles(n=4)",
-        "stdout_sha256": stdout_hashes(trees),
+        "output_sha256": output_hashes(trees),
+        "per_process": per_process(trees, work),
         "workloads": {w["name"]: pairs(trees, w["name"], seconds) for w in declared["workloads"]},
         "traced_seeds_0_1": traced(trees, seconds),
     }
