@@ -9,8 +9,8 @@ only depends on the four block sums of the weights.  This module holds
 the three four-point degree formulas and a memo of each family's degree
 on one four-point class mod r, through which every n-point path reads.
 On top of it sit the degree vectors, the check of the three families'
-coincidence (a comparison of their degrees on every class), and an
-exhaustive checker for the factorization rule itself.
+coincidence (a comparison of their degrees on every class), and a
+check of the factorization rule's attaching residues on a boundary cut.
 
 GIT degrees are stored at the scale of the quotient's hyperplane class
 times r (equivalently, the r-th tensor power convention used for the
@@ -26,7 +26,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .records import MutableRecord, Record
-from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves, split_walk
+from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves
+from .strata import split_walk, walk_fcurves
 from .weights import WeightVector, phi_rule, psi_rule
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
@@ -114,20 +115,11 @@ def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
     return family.degree4(r, u)
 
 
-def _four_point_class(
-    r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
-) -> tuple[int, ...]:
-    """Sorted block sums of c mod r: the four-point class of c on the blocks."""
-    return tuple(sorted(block_sums(r, c, blocks)))
-
-
-def _class_degree(
-    family: BundleFamily, r: int, c: Sequence[int], blocks: Iterable[Iterable[int]]
-) -> int:
-    """Degree on the F-curve with these blocks; 0 if r does not divide |c|."""
-    if sum(c) % r != 0:
+def _sums_degree(family: BundleFamily, r: int, sums: Sequence[int]) -> int:
+    """Degree on the F-curve with these block sums mod r; 0 if r does not divide their total."""
+    if sum(sums) % r != 0:
         return 0
-    return _deg4_class(family, r, _four_point_class(r, c, blocks))
+    return _deg4_class(family, r, tuple(sorted(sums)))
 
 
 def fcurve_degree(
@@ -145,7 +137,7 @@ def fcurve_degree(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
     _check_modulus(r)
-    return _class_degree(family, r, entries, partition.blocks)
+    return _sums_degree(family, r, block_sums(r, entries, partition.blocks))
 
 
 class DegreeVector(Record):
@@ -258,14 +250,18 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
 
 
 def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) -> bool:
-    """Numerically verify the GIT boundary factorization along one cut.
+    """Check that the phi/psi rules give the right attaching residues on one cut.
 
     An F-curve of either side of the cut becomes an ambient F-curve once
     the opposite side is merged into the block carrying the attaching
     point.  Block sums are linear, so the ambient degree there is the
-    side F-curve's degree for the side's own weights plus, on the
-    attaching point, the opposite side's total.  On every F-curve of
-    either side, that degree must equal the one of the restricted weights.
+    side F-curve's degree for the merged weights: the side's own weights
+    plus, on the attaching point, the opposite side's total.  On every
+    F-curve of either side, that degree must equal the one of the
+    restricted weights.  On a degree table this decides only whether the
+    restricted weights are the merged ones mod r (ROADMAP item 2): when
+    they are, every F-curve has equal block sums, and the F-curves are
+    walked only when they are not.
     """
     _check_modulus(r)
     entries = tuple(int(x) for x in c)
@@ -277,13 +273,9 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
 
     for side, own, other in zip(restricted, (inside, outside), (outside, inside)):
         merged = tuple(entries[i - 1] for i in own) + (sum(entries[i - 1] for i in other),)
-        if len(merged) < 4:
+        if len(merged) < 4 or all((a - b) % r == 0 for a, b in zip(side, merged)):
             continue
-        for q in enumerate_fcurves(len(merged)):
-            blocks = q.blocks
-            # equal classes have equal sums mod r, hence equal degrees
-            if _four_point_class(r, side, blocks) == _four_point_class(r, merged, blocks):
-                continue
-            if _class_degree(git, r, side, blocks) != _class_degree(git, r, merged, blocks):
+        for (_, sums), (_, ambient) in zip(walk_fcurves(r, side), walk_fcurves(r, merged)):
+            if _sums_degree(git, r, sums) != _sums_degree(git, r, ambient):
                 return False
     return True

@@ -255,7 +255,8 @@ class PointConfiguration(Record):
             coords = tuple(Fraction(x) for x in p)
             if len(coords) != d + 1:
                 raise ValueError(
-                    f"point {coords} does not have {d + 1} homogeneous coordinates"
+                    f"point {','.join(map(str, coords))} has {len(coords)} coordinates,"
+                    f" need d + 1 = {d + 1}"
                 )
             pivot = next((x for x in coords if x != 0), None)
             if pivot is None:

@@ -217,7 +217,7 @@ class TestVerifyMainTheorem:
                 for p in enumerate_fcurves(5):
                     cb, git, cyc = (fcurve_degree(f, 3, c, p) for f in BundleFamily)
                     if not cb == git == cyc:
-                        reference.add(bundles._four_point_class(3, c, p.blocks))
+                        reference.add(tuple(sorted(strata.block_sums(3, c, p.blocks))))
             witnessed = [
                 tuple(fcurve_degree(f, 3, m.c, m.partition) for f in BundleFamily)
                 for m in report.mismatches
@@ -225,7 +225,9 @@ class TestVerifyMainTheorem:
         finally:
             bundles._deg4_class.cache_clear()
         assert reference == {(1, 1, 2, 2)}
-        classes = [bundles._four_point_class(3, m.c, m.partition.blocks) for m in report.mismatches]
+        classes = [
+            tuple(sorted(strata.block_sums(3, m.c, m.partition.blocks))) for m in report.mismatches
+        ]
         assert classes == sorted(reference)
         for m, degrees in zip(report.mismatches, witnessed):
             assert degrees == (m.cb, m.git, m.cyc)
@@ -309,6 +311,19 @@ class TestGitFactorization:
         members = data.draw(st.permutations(range(1, n + 1)))[:size]
         assert check_git_factorization(r, c, members)
 
+    def test_clean_check_lists_no_fcurves(self, monkeypatch):
+        # right attaching residues are decided from the points alone
+        def listed(*args):
+            raise AssertionError(f"a clean check walked the F-curves of {args}")
+
+        monkeypatch.setattr(bundles, "enumerate_fcurves", listed)
+        monkeypatch.setattr(bundles, "walk_fcurves", listed)
+        cuts = enumerate_boundary_cuts(7)
+        # the last two sums are not divisible by 4
+        for c in [(1, 2, 3, 0, 1, 2, 3), (3, 3, 3, 3, 0, 0, 0),
+                  (1, 1, 1, 1, 1, 1, 1), (2, 0, 3, 1, 2, 2, 1)]:
+            assert all(check_git_factorization(4, c, cut.members) for cut in cuts), c
+
     @pytest.mark.parametrize("fault", ["phi_attaching", "psi_first", "relabel_shifted"])
     def test_planted_fault_matches_merged_reference(self, fault, monkeypatch):
         # a restriction rule gone wrong must fail exactly where the ambient
@@ -384,7 +399,7 @@ def test_caches_are_bounded():
 
 
 def test_cut_sweep_memory_is_small():
-    # checking every cut keeps nothing per cut: only the side F-curve lists
+    # checking every cut keeps nothing per cut, and a clean cut walks no F-curves
     n = 9
     c = (1, 2, 0, 1, 2, 0, 1, 2, 0)
     cuts = enumerate_boundary_cuts(n)

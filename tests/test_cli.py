@@ -362,6 +362,16 @@ class TestSemistable:
         assert code == 2
         assert "--points" in capsys.readouterr().err
 
+    def test_wrong_coordinate_count_shows_the_point_as_written(self, capsys):
+        code = cli.main(
+            ["semistable", "--d", "1", "--weights", "1/2,1/2,1/2,1/2",
+             "--points", "1,0,3;0,1;1,1;1,2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --points: point 1,0,3 has 3 coordinates, need d + 1 = 2\n"
+        assert "Fraction(" not in err
+
 
 class TestOutputShape:
     def test_json_is_deterministic(self, capsys):
