@@ -3,10 +3,12 @@
 Every command emits one JSON document on stdout with the shape
 {command, parameters, results, status} and deterministic key order,
 written in chunks as its results are produced; timing and log lines go
-to stderr.  Exit codes: 0 success, 1 a verification found a mismatch or
-an internal identity failed, 2 usage or parse error, 141 stdout closed
-before the report or the help text was written.  run() is the command as a
-process: main(), a flush, and os._exit without the interpreter's teardown.
+to stderr.  A command's handler returns (parameters, results, ok), and
+main() alone turns ok into the status and the exit code.  Exit codes: 0
+success, 1 a verification found a mismatch or an internal identity failed,
+2 usage or parse error, 141 stdout closed before the report or the help
+text was written.  run() is the command as a process: main(), a flush, and
+os._exit without the interpreter's teardown.
 
 A process imports only what its command runs: the flags are read from one
 table (no `argparse`), the report is written by a small JSON writer (no
@@ -234,7 +236,7 @@ _DEGVEC_JSON = '{\n      "degree": %%d,\n      "fcurve": "\0%s/\1%s/\2%s/\3%s"\n
 _DEGVEC_TABLE = "degree=%%d  fcurve=\0%s/\1%s/\2%s/\3%s"
 
 
-def _cmd_degree(args) -> tuple[dict, int]:
+def _cmd_degree(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
@@ -246,21 +248,16 @@ def _cmd_degree(args) -> tuple[dict, int]:
         induced = list(induce_four_weights(wv, partition))
     else:
         induced = None
-    report = {
-        "command": "degree",
-        "parameters": {
-            "family": family.value,
-            "r": args.r,
-            "weights": list(weights),
-            "partition": partition.label(),
-        },
-        "results": [{"degree": deg, "induced_weights": induced}],
-        "status": "ok",
+    parameters = {
+        "family": family.value,
+        "r": args.r,
+        "weights": list(weights),
+        "partition": partition.label(),
     }
-    return report, 0
+    return parameters, [{"degree": deg, "induced_weights": induced}], True
 
 
-def _cmd_degvec(args) -> tuple[dict, int]:
+def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
     _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
@@ -274,16 +271,10 @@ def _cmd_degvec(args) -> tuple[dict, int]:
         .replace("\0", a).replace("\1", b).replace("\2", c).replace("\3", d)
         for used, (a, b, c, d), degrees in blocks
     )
-    report = {
-        "command": "degvec",
-        "parameters": {"family": family.value, "r": args.r, "weights": list(weights)},
-        "results": results,
-        "status": "ok",
-    }
-    return report, 0
+    return {"family": family.value, "r": args.r, "weights": list(weights)}, results, True
 
 
-def _cmd_verify_main(args) -> tuple[dict, int]:
+def _cmd_verify_main(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 2)
     _at_least("--n", args.n, 4)
     start = time.perf_counter()
@@ -304,22 +295,17 @@ def _cmd_verify_main(args) -> tuple[dict, int]:
         }
         for m in outcome.mismatches
     ]
-    report = {
-        "command": "verify-main",
-        "parameters": {"r": args.r, "n": args.n},
-        "results": [
-            {
-                "vectors_checked": outcome.vectors_checked,
-                "fcurves_per_vector": outcome.fcurves_per_vector,
-                "mismatches": mismatches,
-            }
-        ],
-        "status": "ok" if outcome.ok else "mismatch",
-    }
-    return report, 0 if outcome.ok else 1
+    results = [
+        {
+            "vectors_checked": outcome.vectors_checked,
+            "fcurves_per_vector": outcome.fcurves_per_vector,
+            "mismatches": mismatches,
+        }
+    ]
+    return {"r": args.r, "n": args.n}, results, outcome.ok
 
 
-def _cmd_factor_check(args) -> tuple[dict, int]:
+def _cmd_factor_check(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 1)
     weights = _parse_ints("--weights", args.weights)
     _marked_points(weights)
@@ -329,20 +315,11 @@ def _cmd_factor_check(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise UsageError("--cut", str(exc))
     consistent = check_git_factorization(args.r, weights, cut)
-    report = {
-        "command": "factor-check",
-        "parameters": {
-            "r": args.r,
-            "weights": list(weights),
-            "cut": sorted(set(cut)),
-        },
-        "results": [{"consistent": consistent}],
-        "status": "ok" if consistent else "mismatch",
-    }
-    return report, 0 if consistent else 1
+    parameters = {"r": args.r, "weights": list(weights), "cut": sorted(set(cut))}
+    return parameters, [{"consistent": consistent}], consistent
 
 
-def _cmd_cover(args) -> tuple[dict, int]:
+def _cmd_cover(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 2)
     weights = _parse_ints("--weights", args.weights)
     try:
@@ -372,16 +349,10 @@ def _cmd_cover(args) -> tuple[dict, int]:
                 "g2": data.g2,
             }
         ]
-    report = {
-        "command": "cover",
-        "parameters": {"r": args.r, "weights": list(weights), "split": args.split},
-        "results": results,
-        "status": "ok",
-    }
-    return report, 0
+    return {"r": args.r, "weights": list(weights), "split": args.split}, results, True
 
 
-def _cmd_tableaux(args) -> tuple[dict, int]:
+def _cmd_tableaux(args) -> tuple[dict, list, bool]:
     _at_least("--d", args.d, 0)
     _at_least("--k", args.k, 1 if args.restrict else 0)
     content = _parse_ints("--content", args.content)
@@ -428,8 +399,7 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
                 "failures": outcome.failures,
             }
         ]
-        status = "ok" if outcome.ok else "mismatch"
-        code = 0 if outcome.ok else 1
+        ok = outcome.ok
     else:
         from .invariants import enumerate_tableaux
 
@@ -440,25 +410,19 @@ def _cmd_tableaux(args) -> tuple[dict, int]:
                 "tableaux": [[list(col) for col in t.columns] for t in basis],
             }
         ]
-        status = "ok"
-        code = 0
-    report = {
-        "command": "tableaux",
-        "parameters": {
-            "d": args.d,
-            "k": args.k,
-            "content": list(content),
-            "restrict": bool(args.restrict),
-            "n1": args.n1,
-            "d1": args.d1,
-        },
-        "results": results,
-        "status": status,
+        ok = True
+    parameters = {
+        "d": args.d,
+        "k": args.k,
+        "content": list(content),
+        "restrict": bool(args.restrict),
+        "n1": args.n1,
+        "d1": args.d1,
     }
-    return report, code
+    return parameters, results, ok
 
 
-def _cmd_semistable(args) -> tuple[dict, int]:
+def _cmd_semistable(args) -> tuple[dict, list, bool]:
     _at_least("--d", args.d, 1)
     from .invariants import is_semistable
 
@@ -471,17 +435,12 @@ def _cmd_semistable(args) -> tuple[dict, int]:
     if cfg.n != c.n:
         raise UsageError("--points", f"{cfg.n} points but {c.n} weights")
     verdict = is_semistable(cfg, c)
-    report = {
-        "command": "semistable",
-        "parameters": {
-            "d": args.d,
-            "weights": [str(w) for w in weights],
-            "points": [[str(x) for x in p] for p in cfg.points],
-        },
-        "results": [{"stability": verdict.value}],
-        "status": "ok",
+    parameters = {
+        "d": args.d,
+        "weights": [str(w) for w in weights],
+        "points": [[str(x) for x in p] for p in cfg.points],
     }
-    return report, 0
+    return parameters, [{"stability": verdict.value}], True
 
 
 # the kinds of flag: a required integer or text, an optional integer
@@ -695,7 +654,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     help_text = None
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        report, code = args.handler(args)
+        parameters, results, ok = args.handler(args)
+        report = {
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "status": "ok" if ok else "mismatch",
+        }
+        code = 0 if ok else 1
     except _Help as request:
         help_text, code = str(request), 0
     except UsageError as exc:

@@ -184,14 +184,15 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     """The F-curve walk over len(c) points as (plan, prefixes).
 
     prefixes yields (blocks opened, block texts, block sums mod r) for each
-    placement of all but the last k = min(n - 1, 4) points ("" and 0 if
-    unopened).  plan[opened] lists the ways the last k points finish it with
-    four blocks, as the (text, weight mod r) each block gains, in walk order."""
+    placement of the first n - k points, k = min(n - 4, 4), that the last k
+    points can finish with four blocks ("" and 0 if unopened).  plan[opened]
+    lists the ways the last k points finish it, as the (text, weight mod r)
+    each block gains, in walk order; it is empty if opened + k < 4."""
     n = len(c)
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
-    k = min(n - 1, 4)
-    prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k))
+    k = min(n - 4, 4)
+    prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k) if used + k >= 4)
     return _plan(r, c, k), prefixes
 
 

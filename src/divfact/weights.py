@@ -162,7 +162,8 @@ def _relabel(c: WeightVector, members: Iterable[int]) -> tuple[tuple[int, ...], 
     Relative order is preserved on both sides, so a general index set is
     reduced to the initial-segment case.
     """
-    mem = sorted(set(int(i) for i in members))
+    chosen = set(int(i) for i in members)
+    mem = sorted(chosen)
     n = len(c)
     if any(i < 1 or i > n for i in mem):
         raise ValueError(f"index set {mem} not within {{1, ..., {n}}}")
@@ -171,7 +172,7 @@ def _relabel(c: WeightVector, members: Iterable[int]) -> tuple[tuple[int, ...], 
             f"index set must have size between 2 and n-2 = {n - 2}, got {len(mem)}"
         )
     inside = tuple(c[i - 1] for i in mem)
-    outside = tuple(c[i - 1] for i in range(1, n + 1) if i not in set(mem))
+    outside = tuple(c[i - 1] for i in range(1, n + 1) if i not in chosen)
     return inside, outside
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import divfact.cli as cli
-from divfact import bundles, covers, strata
+from divfact import bundles, covers, invariants, strata
 from divfact.bundles import (
     BundleFamily,
     MainTheoremReport,
@@ -225,7 +225,29 @@ class TestVerifyMain:
         assert report["results"][0]["mismatches"][0]["fcurve"] == "1/2/3/4"
 
 
+def assert_mismatch(capsys, *argv):
+    """A failed verification: exit 1 and status mismatch, in JSON and --table."""
+    code, report = run_json(capsys, *argv)
+    assert (code, report["status"]) == (1, "mismatch")
+    code, out = run(capsys, "--table", *argv)
+    assert code == 1 and out.endswith("\nstatus: mismatch\n")
+    return report
+
+
 class TestFactorCheck:
+    def test_planted_fault_is_a_mismatch(self, capsys, monkeypatch):
+        # an attaching weight one too high: (2,1,3,3) against the merged (2,1,3,6)
+        phi_rule = bundles.phi_rule
+
+        def shifted(c, members):
+            *kept, rho = phi_rule(c, members)
+            return (*kept, rho + 1)
+
+        monkeypatch.setattr(bundles, "phi_rule", shifted)
+        argv = ("factor-check", "--r", "4", "--weights", "2,1,3,3,1,2", "--cut", "1,2,3")
+        report = assert_mismatch(capsys, *argv)
+        assert report["results"] == [{"consistent": False}]
+
     def test_consistent(self, capsys):
         code, report = run_json(
             capsys, "factor-check", "--r", "4", "--weights", "2,1,3,3,1,2", "--cut", "1,2,3"
@@ -322,6 +344,22 @@ class TestTableaux:
         # two images are not basis pairs, yet the images span the product
         assert rec["nonbasis_images"] == 2
         assert rec["surjective"] is True
+
+    def test_restriction_failure_is_a_mismatch(self, capsys, monkeypatch):
+        verify_restriction_theorem = invariants.verify_restriction_theorem
+
+        def failing(*args):
+            outcome = verify_restriction_theorem(*args)
+            outcome.failures.append("planted failure")
+            return outcome
+
+        monkeypatch.setattr(invariants, "verify_restriction_theorem", failing)
+        report = assert_mismatch(
+            capsys,
+            "tableaux", "--d", "2", "--k", "2", "--content", "1,1,1,1,1,1",
+            "--restrict", "--n1", "3", "--d1", "1",
+        )
+        assert report["results"][0]["failures"] == ["planted failure"]
 
     def test_many_cells(self, capsys):
         # 5000 cells, more than Python's recursion limit allows frames

@@ -138,7 +138,7 @@ class TestFCurves:
 
         rng = random.Random(5)
         for n in range(4, 10):
-            k = min(n - 1, 4)
+            k = min(n - 4, 4)
             for r in (1, 2, 5, 1000):
                 c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
                 want = {
