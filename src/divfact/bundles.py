@@ -228,8 +228,6 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
         raise ValueError(f"need r >= 2, got {r}")
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    witness = SetPartition4(n, ({1}, {2}, {3}, range(4, n + 1)))
-    pad = (0,) * (n - 4)
     mismatches = []
     # the last residue is fixed by the other three: each sorted class once,
     # in lexicographic order
@@ -239,7 +237,11 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
             continue
         cb, git, cyc = (_deg4_class(f, r, u) for f in BundleFamily)
         if not cb == git == cyc:
-            mismatches.append(Mismatch(u + pad, witness, cb, git, cyc))
+            mismatches.append((u, cb, git, cyc))
+    if mismatches:  # the witness and its padding have size n: built only to report
+        witness = SetPartition4(n, ({1}, {2}, {3}, range(4, n + 1)))
+        pad = (0,) * (n - 4)
+        mismatches = [Mismatch(u + pad, witness, *degrees) for u, *degrees in mismatches]
     return MainTheoremReport(
         r=r,
         n=n,

@@ -2,12 +2,12 @@
 
 Every command emits one JSON document on stdout with the shape
 {command, parameters, results, status} and deterministic key order,
-written in chunks as its results are produced; timing and log lines go
-to stderr.  A command's handler returns (parameters, results, ok), and
-main() alone turns ok into the status and the exit code.  Exit codes: 0
-success, 1 a verification found a mismatch or an internal identity failed,
-2 usage or parse error, 141 stdout closed before the report or the help
-text was written.  run() is the command as a process: main(), a flush, and
+written as its results are produced; timing and log lines go to stderr.
+A command's handler returns (parameters, results, ok), and main() alone
+turns ok into the status and the exit code.  Exit codes: 0 success, 1 a
+verification found a mismatch or an internal identity failed, 2 usage or
+parse error, 141 stdout closed before the report or the help text was
+written.  run() is the command as a process: main(), a flush, and
 os._exit without the interpreter's teardown.
 
 A process imports only what its command runs: the flags are read from one
@@ -31,22 +31,31 @@ from .bundles import (
     verify_main_theorem,
 )
 from .covers import CoverSpec, DisconnectedCoverWarning, InvariantError, degenerate, genus
-from .strata import BoundaryCut, SetPartition4, induce_four_weights
+from .strata import BoundaryCut, SetPartition4, count_fcurves, induce_four_weights
 from .weights import Linearization, RangeConditionError, WeightVector
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
-    from typing import Iterable, Iterator, Sequence
+    from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
     from .invariants import PointConfiguration
+    T = TypeVar("T")
 
 
 class UsageError(Exception):
     def __init__(self, flag: str, message: str):
         super().__init__(f"{flag}: {message}")
         self.flag = flag
+
+
+def _blamed(flag: str, make: Callable[..., T], *args) -> T:
+    """make(*args), a ValueError it raises reported as the user's error on flag."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise UsageError(flag, str(exc))
 
 
 def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
@@ -76,10 +85,7 @@ def _parse_partition(flag: str, text: str, n: int) -> SetPartition4:
         blocks.append(frozenset(_parse_ints(flag, part)))
     if len(blocks) != 4:
         raise UsageError(flag, f"expected 4 blocks, got {len(blocks)}")
-    try:
-        return SetPartition4(n, tuple(blocks))
-    except ValueError as exc:
-        raise UsageError(flag, str(exc))
+    return _blamed(flag, SetPartition4, n, tuple(blocks))
 
 
 def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
@@ -90,10 +96,7 @@ def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
         if not chunk:
             raise UsageError(flag, "empty point")
         columns.append(_parse_rationals(flag, chunk))
-    try:
-        return PointConfiguration(d, tuple(columns))
-    except ValueError as exc:
-        raise UsageError(flag, str(exc))
+    return _blamed(flag, PointConfiguration, d, tuple(columns))
 
 
 def _at_least(flag: str, value: int, lowest: int) -> None:
@@ -105,6 +108,26 @@ def _between(flag: str, value: int, lowest: int, highest: int) -> None:
     if not lowest <= value <= highest:
         raise UsageError(
             flag, f"need {lowest} <= {flag[2:]} <= {highest}, got {value}"
+        )
+
+
+def _printable_counts(r: int, n: int) -> None:
+    """Refuse an n whose counts, r**(n-1) vectors and S(n, 4) F-curves, have
+    more digits than this Python prints (sys.get_int_max_str_digits(), from
+    3.10.7 and 3.11; 0 is no limit), before anything of size n is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2**(3.32 * limit) < 10**limit < 2**(3.33 * limit).  The lower bounds
+    # r**(n-1) >= 2**((r.bit_length() - 1) * (n-1)) and S(n, 4) >= 4**(n-4)
+    # (each of the points 5..n may join any block of 1, 2, 3 and 4) refuse a
+    # large n unbuilt; 10**limit is built only for a count near it
+    if limit and (
+        max((r.bit_length() - 1) * (n - 1), 2 * (n - 4)) > 3.33 * limit
+        or any(count.bit_length() > 3.32 * limit and count >= 10**limit
+               for count in (r ** (n - 1), count_fcurves(n)))
+    ):
+        raise UsageError(
+            "--n", f"at r={r} and n={n}, r**(n-1) or S(n, 4) has more than {limit} digits,"
+            " the most this Python prints (sys.get_int_max_str_digits())"
         )
 
 
@@ -120,11 +143,8 @@ def _marked_points(weights: Sequence[int]) -> None:
         raise UsageError("--weights", "need at least 4 marked points")
 
 
-_CHUNK = 1 << 16  # characters of output per write to stdout
-
-
 def _emit(report: dict, table: bool) -> None:
-    """Write the report to stdout, its results in chunks as they come.
+    """Write the report to stdout, its results as they come.
 
     The text is json.dumps(report, sort_keys=True, indent=2) or the
     --table rendering, and a final newline.  report["results"] may be any
@@ -149,16 +169,11 @@ def _emit(report: dict, table: bool) -> None:
         head += '"results": '
         body = _json_list(records)
         tail += "\n"
-    out = sys.stdout
-    chunk, size = [head], 0
+    write = sys.stdout.write  # its text layer buffers the small pieces
+    write(head)
     for piece in body:
-        chunk.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            out.write("".join(chunk))
-            chunk, size = [], 0
-    chunk.append(tail)
-    out.write("".join(chunk))
+        write(piece)
+    write(tail)
 
 
 def _json_list(records: Iterable) -> Iterator[str]:
@@ -277,6 +292,7 @@ def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
 def _cmd_verify_main(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 2)
     _at_least("--n", args.n, 4)
+    _printable_counts(args.r, args.n)
     start = time.perf_counter()
     outcome = verify_main_theorem(args.r, args.n)
     elapsed = time.perf_counter() - start
@@ -310,10 +326,7 @@ def _cmd_factor_check(args) -> tuple[dict, list, bool]:
     weights = _parse_ints("--weights", args.weights)
     _marked_points(weights)
     cut = _parse_ints("--cut", args.cut)
-    try:
-        BoundaryCut(len(weights), cut)
-    except ValueError as exc:
-        raise UsageError("--cut", str(exc))
+    _blamed("--cut", BoundaryCut, len(weights), cut)
     consistent = check_git_factorization(args.r, weights, cut)
     parameters = {"r": args.r, "weights": list(weights), "cut": sorted(set(cut))}
     return parameters, [{"consistent": consistent}], consistent
@@ -322,10 +335,7 @@ def _cmd_factor_check(args) -> tuple[dict, list, bool]:
 def _cmd_cover(args) -> tuple[dict, list, bool]:
     _at_least("--r", args.r, 2)
     weights = _parse_ints("--weights", args.weights)
-    try:
-        spec = CoverSpec(args.r, weights)
-    except ValueError as exc:
-        raise UsageError("--weights", str(exc))
+    spec = _blamed("--weights", CoverSpec, args.r, weights)
     if args.split is None:
         # recorded, not shown: the default display prints this file's path
         # and source line, and loads linecache, tokenize and re to do so
@@ -373,12 +383,7 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
 
         from .invariants import verify_restriction_theorem
 
-        try:
-            c = Linearization(
-                tuple(Fraction(x, args.k) for x in content), args.d
-            )
-        except ValueError as exc:
-            raise UsageError("--content", str(exc))
+        c = _blamed("--content", Linearization, [Fraction(x, args.k) for x in content], args.d)
         try:
             outcome = verify_restriction_theorem(
                 args.d1, args.d - args.d1, args.n1, n - args.n1, c, args.k
@@ -427,10 +432,7 @@ def _cmd_semistable(args) -> tuple[dict, list, bool]:
     from .invariants import is_semistable
 
     weights = _parse_rationals("--weights", args.weights)
-    try:
-        c = Linearization(weights, args.d)
-    except ValueError as exc:
-        raise UsageError("--weights", str(exc))
+    c = _blamed("--weights", Linearization, weights, args.d)
     cfg = _parse_points("--points", args.points, args.d)
     if cfg.n != c.n:
         raise UsageError("--points", f"{cfg.n} points but {c.n} weights")

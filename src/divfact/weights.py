@@ -76,7 +76,8 @@ class Linearization(Record):
         object.__setattr__(self, "d", d)
         if not in_hypersimplex(entries, d):
             raise ValueError(
-                f"{entries} is not in the hypersimplex Delta({d + 1}, {len(entries)})"
+                f"weights {','.join(map(str, entries))} are not in the hypersimplex"
+                f" Delta({d + 1}, {len(entries)})"
             )
 
     @property

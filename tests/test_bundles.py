@@ -269,6 +269,18 @@ class TestVerifyMainTheorem:
         # about 30,000 classes, but only the bounded memo is kept
         assert peak < 3_000_000
 
+    def test_memory_is_flat_in_n(self):
+        # only a disagreeing class needs the n-point witness and its padding
+        verify_main_theorem(2, 5)  # warm the class memo
+        tracemalloc.start()
+        try:
+            assert verify_main_theorem(2, 10**6).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the counts 2**(n-1) and S(n, 4) themselves take about 0.4 MB
+        assert peak < 2_000_000
+
     def test_clean_sweep_counts_fcurves_without_listing_them(self, monkeypatch):
         def listed(n):
             raise AssertionError(f"a clean sweep listed the F-curves of n = {n}")

@@ -212,6 +212,27 @@ class TestVerifyMain:
         assert cli.main(["verify-main", "--r", "1", "--n", "5"]) == 2
         assert "--r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [7200, 10**9])
+    def test_counts_too_long_to_print_are_refused(self, n):
+        # S(7200, 4) has more than 4,300 digits, the default limit of int to str;
+        # the refusal comes before anything of size n is built
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "divfact.cli", "verify-main", "--r", "2", "--n", str(n)],
+            capture_output=True, env=process_env(), timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: --n: ")
+        assert b"Traceback" not in done.stderr
+
+    def test_counts_that_print_are_reported(self, capsys):
+        code, report = run_json(capsys, "verify-main", "--r", "2", "--n", "7000")
+        assert code == 0
+        rec = report["results"][0]
+        assert rec["vectors_checked"] == 2**6999
+        assert rec["fcurves_per_vector"] == strata.count_fcurves(7000)
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         p = SetPartition4(4, (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4})))
         fake = MainTheoremReport(
@@ -495,6 +516,17 @@ class TestBlamedFlag:
             (["semistable", "--d=1", "--weights=--", "--points=1,0;1,0"], "--weights"),
             (["degvec", "--family=cb", "--r=--", "--weights=1,1,1,1"], "--r"),
             (["degvec", "--family=--", "--r=2", "--weights=1,1,1,1"], "--family"),
+            # a library ValueError, reported against the flag that fed it
+            (["degree", "--family", "cb", "--r", "3", "--weights", "1,1,1,0,0", "--partition", "1/2/3/4,6"],
+             "--partition"),
+            (["semistable", "--d", "1", "--weights", "1/2,1/2,1/2,1/2", "--points", "1,0;0,0;1,1;1,2"], "--points"),
+            (["factor-check", "--r", "3", "--weights", "1,1,1,0,0", "--cut", "1,6"], "--cut"),
+            (["cover", "--r", "4", "--weights", "1,1,1,2"], "--weights"),
+            (["tableaux", "--d", "2", "--k", "1", "--content", "2,1,0,0", "--restrict", "--n1", "2", "--d1", "1"],
+             "--content"),
+            (["semistable", "--d", "1", "--weights", "1/2,1/2,1/2,1", "--points", "1,0;0,1;1,1;1,2"], "--weights"),
+            (["tableaux", "--d", "2", "--k", "2", "--content", "2,2,2,0,0,0", "--restrict", "--n1", "3", "--d1", "1"],
+             "--n1"),
         ],
     )
     def test_usage_error(self, capsys, argv, flag):

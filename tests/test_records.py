@@ -137,7 +137,7 @@ def test_validation_messages():
         (lambda: Tableau(1, 1, ((2, 1),)), "column (2, 1) is not strictly increasing"),
         (lambda: PointConfiguration(1, ((0, 0),)), "zero column is not a projective point"),
         (lambda: Linearization((1,), 1),
-         "(Fraction(1, 1),) is not in the hypersimplex Delta(2, 1)"),
+         "weights 1 are not in the hypersimplex Delta(2, 1)"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError) as info:

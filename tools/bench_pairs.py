@@ -27,7 +27,11 @@ The workloads and S, the run length, are read from BENCHMARK.json:
   degvec argvs of `cli` seed 0, compiled and in the environment
   divbench/run.py gives its processes, each spawned and reaped with
   os.wait4 as divbench/launcher.py does; the median wall and CPU time of
-  each.
+  each, and the median and quartiles of the per-round paired difference
+  (change - parent, in ms).  `-c pass` runs no divfact code and is the
+  control: its paired differences are the host's drift alone.  An argv's
+  gap counts only when the median of its paired differences exceeds the
+  control's spread, the distance between the control's quartiles.
 
 Standard library only.  Nothing is written outside --work and --out.
 """
@@ -56,6 +60,7 @@ import time
 PAIRS = 10
 ROUNDS = 20
 SIDES = ("parent", "change")
+CONTROL = ["-c", "pass"]
 VERIFY_MAIN_TIME = re.compile(rb" in \d+\.\d\ds\n")
 
 
@@ -236,7 +241,7 @@ def per_process(trees: dict, work: str) -> dict:
     for side in SIDES:
         compileall.compile_dir(os.path.join(trees[side], "src", "divfact"), maxlevels=0, quiet=1)
         envs[side] = run.child_env(trees[side])
-    argvs = [["-c", "pass"], ["-c", "import divfact.cli"]] + [
+    argvs = [CONTROL, ["-c", "import divfact.cli"]] + [
         ["-m", "divfact.cli", *argv]
         for argv in wide_argvs(worker, 0) + [a for a in cli_argvs(worker, 0) if a[0] == "degvec"]
     ]
@@ -261,13 +266,17 @@ def per_process(trees: dict, work: str) -> dict:
             **{side: {name: round(statistics.median(values), 2) for name, values in sides[side].items()}
                for side in SIDES},
             "change_lower_wall_in_rounds": sum(c < p for p, c in zip(*walls)),
+            **{f"{name}_diff": summary([c - p for p, c in zip(sides["parent"][name], sides["change"][name])])
+               for name in ("wall_ms", "cpu_ms")},
         }
     return {
         "protocol": f"python3 ARGV in divbench/run.py's child_env (PYTHONPATH=<side>/src), bytecode"
                     f" compiled, {ROUNDS} rounds; in each round every argv"
                     " runs on both sides (parent first on even rounds), stdout and stderr to a file,"
-                    " reaped with os.wait4; wall is spawn to reap, CPU is ru_utime + ru_stime; medians in ms",
+                    " reaped with os.wait4; wall is spawn to reap, CPU is ru_utime + ru_stime; medians in ms;"
+                    " *_diff: median and quartiles of change - parent per round",
         "rounds": ROUNDS,
+        "control": shlex.join(CONTROL),
         "by_argv": by_argv,
     }
 
