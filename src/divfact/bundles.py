@@ -26,8 +26,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .records import MutableRecord, Record
-from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves
-from .strata import split_walk, walk_fcurves
+from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves, split_walk
 from .weights import WeightVector, phi_rule, psi_rule
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
@@ -115,13 +114,6 @@ def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
     return family.degree4(r, u)
 
 
-def _sums_degree(family: BundleFamily, r: int, sums: Sequence[int]) -> int:
-    """Degree on the F-curve with these block sums mod r; 0 if r does not divide their total."""
-    if sum(sums) % r != 0:
-        return 0
-    return _deg4_class(family, r, tuple(sorted(sums)))
-
-
 def fcurve_degree(
     family: BundleFamily, r: int, c: Sequence[int], partition: SetPartition4
 ) -> int:
@@ -137,7 +129,10 @@ def fcurve_degree(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
     _check_modulus(r)
-    return _sums_degree(family, r, block_sums(r, entries, partition.blocks))
+    sums = block_sums(r, entries, partition.blocks)
+    if sum(sums) % r != 0:
+        return 0
+    return _deg4_class(family, r, tuple(sorted(sums)))
 
 
 class DegreeVector(Record):
@@ -263,7 +258,7 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
     restricted weights.  On a degree table this decides only whether the
     restricted weights are the merged ones mod r (ROADMAP item 2): when
     they are, every F-curve has equal block sums, and the F-curves are
-    walked only when they are not.
+    walked only when they are not, one degree row per prefix of each.
     """
     _check_modulus(r)
     entries = tuple(int(x) for x in c)
@@ -277,7 +272,8 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
         merged = tuple(entries[i - 1] for i in own) + (sum(entries[i - 1] for i in other),)
         if len(merged) < 4 or all((a - b) % r == 0 for a, b in zip(side, merged)):
             continue
-        for (_, sums), (_, ambient) in zip(walk_fcurves(r, side), walk_fcurves(r, merged)):
-            if _sums_degree(git, r, sums) != _sums_degree(git, r, ambient):
-                return False
+        _, rows = degree_blocks(git, r, side)
+        _, ambient = degree_blocks(git, r, merged)
+        if any(a != b for (_, _, a), (_, _, b) in zip(rows, ambient)):
+            return False
     return True

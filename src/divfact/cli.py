@@ -31,8 +31,8 @@ from .bundles import (
     verify_main_theorem,
 )
 from .covers import CoverSpec, DisconnectedCoverWarning, InvariantError, degenerate, genus
-from .strata import BoundaryCut, SetPartition4, count_fcurves, induce_four_weights
-from .weights import Linearization, RangeConditionError, WeightVector
+from .strata import BoundaryCut, SetPartition4, block_sums, count_fcurves
+from .weights import Linearization, RangeConditionError
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
@@ -111,22 +111,42 @@ def _between(flag: str, value: int, lowest: int, highest: int) -> None:
         )
 
 
+# the most digits this Python prints an int with (from 3.10.7 and 3.11; 0 is no limit)
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _too_long(value: int, limit: int) -> bool:
+    """value has more than limit > 0 digits.  2**(3.32 * limit) < 10**limit <
+    2**(3.33 * limit), so 10**limit is built only for a value near it."""
+    return value.bit_length() > 3.32 * limit and value >= 10**limit
+
+
 def _printable_counts(r: int, n: int) -> None:
     """Refuse an n whose counts, r**(n-1) vectors and S(n, 4) F-curves, have
-    more digits than this Python prints (sys.get_int_max_str_digits(), from
-    3.10.7 and 3.11; 0 is no limit), before anything of size n is built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2**(3.32 * limit) < 10**limit < 2**(3.33 * limit).  The lower bounds
-    # r**(n-1) >= 2**((r.bit_length() - 1) * (n-1)) and S(n, 4) >= 4**(n-4)
-    # (each of the points 5..n may join any block of 1, 2, 3 and 4) refuse a
-    # large n unbuilt; 10**limit is built only for a count near it
+    more digits than this Python prints, before anything of size n is built."""
+    limit = _max_digits()
+    # the lower bounds r**(n-1) >= 2**((r.bit_length() - 1) * (n-1)) and
+    # S(n, 4) >= 4**(n-4) (each of the points 5..n may join any block of 1, 2,
+    # 3 and 4) refuse a large n unbuilt
     if limit and (
         max((r.bit_length() - 1) * (n - 1), 2 * (n - 4)) > 3.33 * limit
-        or any(count.bit_length() > 3.32 * limit and count >= 10**limit
-               for count in (r ** (n - 1), count_fcurves(n)))
+        or _too_long(r ** (n - 1), limit)
+        or _too_long(count_fcurves(n), limit)
     ):
         raise UsageError(
             "--n", f"at r={r} and n={n}, r**(n-1) or S(n, 4) has more than {limit} digits,"
+            " the most this Python prints (sys.get_int_max_str_digits())"
+        )
+
+
+def _printable_genera(*genera: int) -> None:
+    """Refuse an r at which a genus has more digits than this Python prints.
+    r and the weights were read from text, so they print, and so does a
+    negative genus, which is at least 1 - r."""
+    limit = _max_digits()
+    if limit and any(_too_long(g, limit) for g in genera):
+        raise UsageError(
+            "--r", f"a genus at this r has more than {limit} digits,"
             " the most this Python prints (sys.get_int_max_str_digits())"
         )
 
@@ -258,11 +278,8 @@ def _cmd_degree(args) -> tuple[dict, list, bool]:
     _marked_points(weights)
     partition = _parse_partition("--partition", args.partition, len(weights))
     deg = fcurve_degree(family, args.r, weights, partition)
-    if sum(weights) % args.r == 0:
-        wv = WeightVector(args.r, tuple(w % args.r for w in weights))
-        induced = list(induce_four_weights(wv, partition))
-    else:
-        induced = None
+    divisible = sum(weights) % args.r == 0
+    induced = list(block_sums(args.r, weights, partition.blocks)) if divisible else None
     parameters = {
         "family": family.value,
         "r": args.r,
@@ -342,6 +359,7 @@ def _cmd_cover(args) -> tuple[dict, list, bool]:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DisconnectedCoverWarning)
             g = genus(spec)
+        _printable_genera(g)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         results = [{"genus": g}]
@@ -349,6 +367,7 @@ def _cmd_cover(args) -> tuple[dict, list, bool]:
         _marked_points(weights)
         _between("--split", args.split, 2, spec.n - 2)
         data = degenerate(spec, args.split)
+        _printable_genera(data.g, data.g1, data.g2)
         results = [
             {
                 "c_prime": list(data.c_prime),

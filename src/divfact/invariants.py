@@ -469,7 +469,9 @@ def verify_restriction_theorem(
         raise ValueError(f"need k >= 1, got {k}")
     scaled = [k * x for x in c.entries]
     if any(x.denominator != 1 for x in scaled):
-        raise ValueError(f"k = {k} does not clear the denominators of {c.entries}")
+        raise ValueError(
+            f"k = {k} does not clear the denominators of {','.join(map(str, c.entries))}"
+        )
     content = tuple(int(x) for x in scaled)
 
     c_prime, c_double = split_linearization(c, n1, d1)

@@ -99,7 +99,7 @@ def enumerate_boundary_cuts(n: int) -> list[BoundaryCut]:
 def enumerate_fcurves(n: int) -> list[SetPartition4]:
     """All partitions of {1, ..., n} into four nonempty blocks.
 
-    Read off walk_fcurves, so blocks come out sorted by minimum element
+    Read off split_walk, so blocks come out sorted by minimum element
     and the overall order is deterministic.  The count is the Stirling
     number S(n, 4).
     """
@@ -125,13 +125,19 @@ def _fcurves_cached(n: int) -> tuple[SetPartition4, ...]:
             parsed[text] = frozenset(map(int, text.split(",")))
         return parsed[text]
 
-    def partition(label: str) -> SetPartition4:
+    def partition(texts: Iterable[str]) -> SetPartition4:
         # walked blocks partition {1, ..., n} in order already: skip the checks
         p = object.__new__(SetPartition4)
-        Record.__init__(p, n, tuple(map(block, label.split("/"))))
+        Record.__init__(p, n, tuple(map(block, texts)))
         return p
 
-    return tuple(partition(label) for label, _ in walk_fcurves(1, (0,) * n))
+    # each prefix's texts joined with each tail its plan finishes them with
+    plan, prefixes = split_walk(1, (0,) * n)
+    return tuple(
+        partition(map(add, texts, tails))
+        for used, texts, _ in prefixes
+        for tails, _ in plan[used]
+    )
 
 
 def _growth(used: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -194,21 +200,6 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     k = min(n - 4, 4)
     prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k) if used + k >= 4)
     return _plan(r, c, k), prefixes
-
-
-def walk_fcurves(r: int, c: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Every F-curve of len(c) points as (label, block sums of c mod r).
-
-    Each prefix of split_walk meets each completion in its plan.  The label
-    is SetPartition4.label(), the sums are in block order, and the order
-    is that of enumerate_fcurves.
-    """
-    plan, prefixes = split_walk(r, c)
-    return (
-        ("/".join(map(add, texts, tails)), tuple((p + s) % r for p, s in zip(sums, gains)))
-        for used, texts, sums in prefixes
-        for tails, gains in plan[used]
-    )
 
 
 def induce_four_weights(c: WeightVector, partition: SetPartition4) -> WeightVector:

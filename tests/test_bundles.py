@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 from itertools import permutations, product
@@ -329,7 +330,7 @@ class TestGitFactorization:
             raise AssertionError(f"a clean check walked the F-curves of {args}")
 
         monkeypatch.setattr(bundles, "enumerate_fcurves", listed)
-        monkeypatch.setattr(bundles, "walk_fcurves", listed)
+        monkeypatch.setattr(bundles, "degree_blocks", listed)
         cuts = enumerate_boundary_cuts(7)
         # the last two sums are not divisible by 4
         for c in [(1, 2, 3, 0, 1, 2, 3), (3, 3, 3, 3, 0, 0, 0),
@@ -353,16 +354,24 @@ class TestGitFactorization:
                 return right(c, [i % len(c) + 1 for i in m])
 
             monkeypatch.setattr(weights, "_relabel", next_indices)
-        r, n = 3, 6
-        cuts = [sorted(cut.members) for cut in enumerate_boundary_cuts(n)]
-        failed = 0
-        for head in product(range(r), repeat=n - 1):
-            c = head + (-sum(head) % r,)
-            for cut in cuts:
-                expected = _merged_reference(r, c, cut)
-                assert check_git_factorization(r, c, cut) == expected, (fault, c, cut)
-                failed += not expected
-        assert failed > 0
+        r = 3
+        # every vector of n = 6, whose sides plan k <= 1 points, and a fixed
+        # sample of n = 8, whose sides of six and seven points plan k = 2 and 3
+        rng = random.Random(8)
+        heads = {
+            6: list(product(range(r), repeat=5)),
+            8: [tuple(rng.choices(range(r), k=7)) for _ in range(6)],
+        }
+        for n, vectors in heads.items():
+            cuts = [sorted(cut.members) for cut in enumerate_boundary_cuts(n)]
+            failed = 0
+            for head in vectors:
+                c = head + (-sum(head) % r,)
+                for cut in cuts:
+                    expected = _merged_reference(r, c, cut)
+                    assert check_git_factorization(r, c, cut) == expected, (fault, c, cut)
+                    failed += not expected
+            assert failed > 0, (fault, n)
 
 
 def _shifted(w: WeightVector, i: int) -> WeightVector:

@@ -304,6 +304,31 @@ class TestCover:
         assert rec["c_prime"] == [2, 1, 3, 2]
         assert rec["c_double_prime"] == [3, 1, 2, 2]
 
+    @pytest.mark.parametrize("split", [[], ["--split", "10"]])
+    def test_genus_too_long_to_print_is_refused(self, split):
+        # r and its weights have 4,300 digits, the default limit of int to str,
+        # but the genus 9r - 9 and, split, 4r - 4 on each side have one more;
+        # the refusal comes before any of the report is written
+        r = 5 * 10**4299
+        weights = ",".join([f"1,{r - 1}"] * 10)
+        done = subprocess.run(
+            [sys.executable, "-m", "divfact.cli", "cover", "--r", str(r), "--weights", weights, *split],
+            capture_output=True, env=process_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: --r: ") and done.stderr.count(b"\n") == 1
+        assert b"Traceback" not in done.stderr
+
+    def test_genus_that_prints_is_reported(self, capsys):
+        r = 10**4298
+        weights = ",".join([f"1,{r - 1}"] * 10)
+        code, report = run_json(capsys, "cover", "--r", str(r), "--weights", weights)
+        assert (code, report["results"]) == (0, [{"genus": 9 * r - 9}])
+        code, report = run_json(capsys, "cover", "--r", str(r), "--weights", weights, "--split", "10")
+        rec = report["results"][0]
+        assert code == 0
+        assert (rec["g"], rec["g1"], rec["g2"], rec["s"]) == (9 * r - 9, 4 * r - 4, 4 * r - 4, r)
+
     def test_odd_sum_rejected(self, capsys):
         code = cli.main(["cover", "--r", "2", "--weights", "1,1,1"])
         assert code == 2

@@ -414,3 +414,9 @@ class TestVerifyRestriction:
         c = Linearization((Fraction(3, 4),) * 4, 2)
         with pytest.raises(ValueError):
             verify_restriction_theorem(1, 1, 2, 2, c, 2)
+
+    def test_uncleared_denominators_are_written_as_rationals(self):
+        c = Linearization((Fraction(1, 2),) * 6, 2)
+        with pytest.raises(ValueError) as caught:
+            verify_restriction_theorem(1, 1, 3, 3, c, 1)
+        assert str(caught.value) == "k = 1 does not clear the denominators of 1/2,1/2,1/2,1/2,1/2,1/2"

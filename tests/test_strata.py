@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
@@ -12,7 +13,7 @@ from divfact.strata import (
     enumerate_boundary_cuts,
     enumerate_fcurves,
     induce_four_weights,
-    walk_fcurves,
+    split_walk,
 )
 from divfact.weights import WeightVector, psi_rule
 
@@ -121,7 +122,13 @@ class TestFCurves:
         # n = 9 and 10 walk prefixes of five and six points
         for n, r in [(n, r) for n in range(4, 9) for r in (1, 2, 5, 7)] + [(9, 3), (10, 1000)]:
             c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
-            walked = list(walk_fcurves(r, c))
+            # each prefix meets each completion in its plan
+            plan, prefixes = split_walk(r, c)
+            walked = [
+                ("/".join(map(add, texts, tails)), tuple((p + g) % r for p, g in zip(sums, gains)))
+                for used, texts, sums in prefixes
+                for tails, gains in plan[used]
+            ]
             parts = enumerate_fcurves(n)
             assert [label for label, _ in walked] == [p.label() for p in parts]
             assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
@@ -150,7 +157,7 @@ class TestFCurves:
 
     def test_walk_rejects_fewer_than_four_points(self):
         with pytest.raises(ValueError):
-            walk_fcurves(2, (1, 1, 0))
+            split_walk(2, (1, 1, 0))
 
     def test_walked_partitions_equal_validated(self):
         # the walk builds its partitions without SetPartition4's checks
