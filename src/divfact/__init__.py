@@ -40,7 +40,6 @@ _EXPORTS = {
     "SetPartition4": "strata",
     "enumerate_boundary_cuts": "strata",
     "enumerate_fcurves": "strata",
-    "induce_four_weights": "strata",
     "Linearization": "weights",
     "RangeConditionError": "weights",
     "WeightVector": "weights",

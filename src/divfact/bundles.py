@@ -45,9 +45,6 @@ class BundleFamily(Enum):
     # hashes its family
     __hash__ = object.__hash__
 
-    def degree4(self, r: int, c: Sequence[int]) -> int:
-        return _BASE_FORMULAS[self](r, c)
-
 
 def _check_modulus(r: int) -> None:
     if r < 1:
@@ -111,7 +108,7 @@ _BASE_FORMULAS = {
 @lru_cache(maxsize=4096)
 def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
     """The family's degree on one class u: sorted residues mod r, sum 0 mod r."""
-    return family.degree4(r, u)
+    return _BASE_FORMULAS[family](r, u)
 
 
 def fcurve_degree(

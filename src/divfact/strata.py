@@ -14,7 +14,6 @@ from itertools import combinations, product
 from operator import add
 
 from .records import Record
-from .weights import WeightVector
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
@@ -200,22 +199,6 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     k = min(n - 4, 4)
     prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k) if used + k >= 4)
     return _plan(r, c, k), prefixes
-
-
-def induce_four_weights(c: WeightVector, partition: SetPartition4) -> WeightVector:
-    """Sum the weights over each block of an F-curve partition, mod r.
-
-    This is the four-point weight vector governing the restriction of any
-    of the weighted bundles to the F-curve; entries are represented in
-    {0, ..., r-1}.
-    """
-    if len(c) != partition.n:
-        raise ValueError(
-            f"weight vector length {len(c)} does not match partition on {partition.n} points"
-        )
-    if c.total() % c.r != 0:
-        raise ValueError("weight sum must be divisible by r")
-    return WeightVector(c.r, block_sums(c.r, c, partition.blocks))
 
 
 def block_sums(

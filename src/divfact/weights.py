@@ -16,6 +16,7 @@ the integer paths never load it.
 from __future__ import annotations
 
 from .records import Record
+from .strata import BoundaryCut
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
@@ -125,7 +126,8 @@ def split_linearization(
     makes the side sum equal d_i + 1 exactly.  Requires the side sums to
     satisfy d1 <= sum(first n1) <= d1 + 1 and d2 <= sum(rest) <= d2 + 1,
     which is exactly what membership of both outputs in their smaller
-    hypersimplices needs.
+    hypersimplices needs.  Only the left window is checked: the two sums
+    add up to d + 1, so the left window holds exactly when the right one does.
     """
     n, d = c.n, c.d
     if not 2 <= n1 <= n - 2:
@@ -144,14 +146,6 @@ def split_linearization(
         raise RangeConditionError(
             f"sum of first {n1} weights is {left} > d1 + 1 = {d1 + 1}"
         )
-    if right < d2:
-        raise RangeConditionError(
-            f"sum of last {n - n1} weights is {right} < d2 = {d2}"
-        )
-    if right > d2 + 1:
-        raise RangeConditionError(
-            f"sum of last {n - n1} weights is {right} > d2 + 1 = {d2 + 1}"
-        )
     c_prime = Linearization(c.entries[:n1] + (right - d2,), d1)
     c_double = Linearization(c.entries[n1:] + (left - d1,), d2)
     return c_prime, c_double
@@ -160,25 +154,20 @@ def split_linearization(
 def _relabel(c: WeightVector, members: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split entries of c into (those indexed by members, the rest), 1-based.
 
-    Relative order is preserved on both sides, so a general index set is
+    The members must be a boundary cut of len(c) points, checked by
+    BoundaryCut; the caller's side is kept, not the cut's canonical one.
+    Relative order is preserved on both sides, so a general cut is
     reduced to the initial-segment case.
     """
-    chosen = set(int(i) for i in members)
-    mem = sorted(chosen)
-    n = len(c)
-    if any(i < 1 or i > n for i in mem):
-        raise ValueError(f"index set {mem} not within {{1, ..., {n}}}")
-    if not 2 <= len(mem) <= n - 2:
-        raise ValueError(
-            f"index set must have size between 2 and n-2 = {n - 2}, got {len(mem)}"
-        )
-    inside = tuple(c[i - 1] for i in mem)
-    outside = tuple(c[i - 1] for i in range(1, n + 1) if i not in chosen)
+    chosen = frozenset(map(int, members))
+    BoundaryCut(len(c), chosen)
+    inside = tuple(c[i - 1] for i in sorted(chosen))
+    outside = tuple(e for i, e in enumerate(c, 1) if i not in chosen)
     return inside, outside
 
 
 def phi_rule(c: WeightVector, members: Iterable[int]) -> WeightVector:
-    """Weights restricted to the side carrying the index set.
+    """Weights restricted to the side of the cut that holds `members`.
 
     Keeps the entries indexed by `members` and appends an attaching
     weight congruent to the complementary sum mod r, represented in
@@ -192,7 +181,7 @@ def phi_rule(c: WeightVector, members: Iterable[int]) -> WeightVector:
 
 
 def psi_rule(c: WeightVector, members: Iterable[int]) -> WeightVector:
-    """Weights restricted to the complementary side of the index set.
+    """Weights restricted to the side of the cut opposite `members`.
 
     Keeps the entries outside `members` and appends an attaching weight
     congruent to the inside sum mod r, represented in {0, ..., r-1}.

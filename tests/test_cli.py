@@ -293,6 +293,11 @@ class TestCover:
         assert code == 0
         assert report["results"][0]["genus"] == 5
 
+    def test_connected_cover_writes_no_warning(self, capsys):
+        code = cli.main(["cover", "--r", "3", "--weights", "1,1,1,0"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_split(self, capsys):
         code, report = run_json(
             capsys, "cover", "--r", "4", "--weights", "2,1,3,3,1,2", "--split", "3"

@@ -42,6 +42,13 @@ class TestGenus:
         # a weight-0 point contributes nothing
         assert genus(CoverSpec(2, (1, 1, 1, 1, 0))) == 1
 
+    def test_connected_cover_warns_nothing(self):
+        # gcd of the weights and r is 1: no DisconnectedCoverWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert genus(CoverSpec(3, (1, 1, 1, 0))) == 1
+            assert genus(CoverSpec(5, (1, 2, 3, 4))) == 4
+
     def test_disconnected_data_warns(self):
         with pytest.warns(DisconnectedCoverWarning):
             assert genus(CoverSpec(2, (0, 0, 0, 0))) == -1

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from divfact.strata import BoundaryCut
 from divfact.weights import (
     Linearization,
     RangeConditionError,
@@ -79,6 +81,19 @@ class TestSplitLinearization:
         with pytest.raises(RangeConditionError, match="first 3 .*> d1 \\+ 1 = 2"):
             split_linearization(c, 3, 1)
 
+    @pytest.mark.parametrize(
+        "n1, d1, message",
+        [
+            (5, 1, "n1=5 must satisfy 2 <= n1 <= n-2 = 4"),
+            (3, 2, "d1=2 must satisfy 1 <= d1 <= d-1 = 1"),
+        ],
+    )
+    def test_split_point_bounds(self, n1, d1, message):
+        # RangeConditionError is a ValueError too, so the message tells them apart
+        c = Linearization((Fraction(1, 2),) * 6, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_linearization(c, n1, d1)
+
     def test_integral_rescaling_clears_denominators(self):
         # k clearing the denominators of c also clears those of both outputs
         c = Linearization(
@@ -129,6 +144,53 @@ class TestPhiPsi:
             phi_rule(w, {1})
         with pytest.raises(ValueError):
             phi_rule(w, {1, 2, 3})
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ({1, 7}, "cut [1, 7] not within {1, ..., 6}"),
+            ({0, 2}, "cut [0, 2] not within {1, ..., 6}"),
+            ({1}, "cut size must lie between 2 and n-2 = 4, got 1"),
+            ({1, 2, 3, 4, 5}, "cut size must lie between 2 and n-2 = 4, got 5"),
+        ],
+    )
+    @pytest.mark.parametrize("rule", [phi_rule, psi_rule])
+    def test_bad_cut_gives_boundary_cut_message(self, rule, members, message):
+        w = WeightVector(4, (2, 1, 3, 3, 1, 2))
+        with pytest.raises(ValueError) as cut_error:
+            BoundaryCut(len(w), members)
+        assert str(cut_error.value) == message
+        with pytest.raises(ValueError) as rule_error:
+            rule(w, members)
+        assert str(rule_error.value) == message
+
+
+@st.composite
+def linearization_and_split(draw):
+    n = draw(st.integers(min_value=4, max_value=9))
+    d = draw(st.integers(min_value=2, max_value=n - 1))
+    q = draw(st.integers(min_value=1, max_value=6))
+    numerators = draw(st.lists(st.integers(0, q), min_size=n, max_size=n))
+    # move numerators, each kept in {0, ..., q}, until they sum to q(d + 1)
+    excess = sum(numerators) - q * (d + 1)
+    for i, a in enumerate(numerators):
+        step = max(min(excess, a), a - q)
+        numerators[i] -= step
+        excess -= step
+    c = Linearization((Fraction(a, q) for a in numerators), d)
+    n1 = draw(st.integers(min_value=2, max_value=n - 2))
+    d1 = draw(st.integers(min_value=1, max_value=d - 1))
+    return c, n1, d1
+
+
+@given(linearization_and_split())
+def test_range_errors_name_the_first_weights(data):
+    # the two side sums add up to d + 1, so only the left window can fail
+    c, n1, d1 = data
+    try:
+        split_linearization(c, n1, d1)
+    except RangeConditionError as error:
+        assert f"first {n1} weights" in str(error)
 
 
 @st.composite
