@@ -7,10 +7,11 @@ of) Hodge eigenbundle determinants on cyclic-cover loci.  Each family
 obeys the same boundary restriction rule, so its degree on an F-curve
 only depends on the four block sums of the weights.  This module holds
 the three four-point degree formulas and a memo of each family's degree
-on one four-point class mod r, through which every n-point path reads.
+on one four-point class mod r, through which the n-point fast paths read.
 On top of it sit the degree vectors, the check of the three families'
-coincidence (a comparison of their degrees on every class), and a
-check of the factorization rule's attaching residues on a boundary cut.
+coincidence (a comparison of the three formulas themselves on every
+class, not of the memo, where a fault would be common to all three), and
+a check of the factorization rule's attaching residues on a boundary cut.
 
 GIT degrees are stored at the scale of the quotient's hyperplane class
 times r (equivalently, the r-th tensor power convention used for the
@@ -227,7 +228,7 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
         u = head + (-sum(head) % r,)
         if u[3] < u[2]:
             continue
-        cb, git, cyc = (_deg4_class(f, r, u) for f in BundleFamily)
+        cb, git, cyc = (_BASE_FORMULAS[f](r, u) for f in BundleFamily)
         if not cb == git == cyc:
             mismatches.append((u, cb, git, cyc))
     if mismatches:  # the witness and its padding have size n: built only to report

@@ -69,25 +69,17 @@ class DegenerationData(Record):
     __slots__ = ("c_prime", "c_double_prime", "s", "g", "g1", "g2")
 
 
-def _genus_value(r: int, entries: Sequence[int]) -> tuple[int, int]:
-    """Riemann-Hurwitz value and the gcd of all branch weights with r.
+def _genus_value(r: int, entries: Sequence[int]) -> int:
+    """Riemann-Hurwitz value for weights whose total r divides.
 
-    The second component exceeding 1 means the cover may be disconnected.
-    Raises when the formula does not give an integer, which only happens
-    when r does not divide the total weight.
+    The ramification sum is then even: for odd r each term is even, and
+    for even r a term is odd exactly when its weight is, which an even
+    number of weights are.
     """
     ramification = 0
-    connectivity = r
     for e in entries:
-        h = gcd(e, r)
-        ramification += r - h
-        connectivity = gcd(connectivity, h)
-    twice = 2 - 2 * r + ramification
-    if twice % 2 != 0:
-        raise ValueError(
-            f"Riemann-Hurwitz gives the non-integer {twice}/2 for r={r}, weights {tuple(entries)}"
-        )
-    return twice // 2, connectivity
+        ramification += r - gcd(e, r)
+    return 1 - r + ramification // 2
 
 
 def genus(spec: CoverSpec) -> int:
@@ -98,7 +90,7 @@ def genus(spec: CoverSpec) -> int:
     warning is emitted, and the result may be negative; it is then the
     arithmetic Euler-characteristic genus of the disjoint union.
     """
-    g, connectivity = _genus_value(spec.r, spec.entries)
+    connectivity = gcd(spec.r, *spec.entries)
     if connectivity > 1:
         warnings.warn(
             f"gcd of branch weights and r={spec.r} is {connectivity} > 1; "
@@ -106,12 +98,7 @@ def genus(spec: CoverSpec) -> int:
             DisconnectedCoverWarning,
             stacklevel=2,
         )
-    if g < 0 and connectivity == 1:
-        raise ValueError(
-            f"negative genus {g} for connected branch data {spec.entries}; "
-            "input is invalid (too few branch points)"
-        )
-    return g
+    return _genus_value(spec.r, spec.entries)
 
 
 def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
@@ -137,9 +124,9 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
     s = s_left
     c_prime = entries[:n1] + (right % r,)
     c_double_prime = entries[n1:] + (left % r,)
-    g, _ = _genus_value(r, entries)
-    g1, _ = _genus_value(r, c_prime)
-    g2, _ = _genus_value(r, c_double_prime)
+    g = _genus_value(r, entries)
+    g1 = _genus_value(r, c_prime)
+    g2 = _genus_value(r, c_double_prime)
     if g != g1 + g2 + s - 1:
         raise InvariantError(
             f"genus additivity failed: g={g}, g1={g1}, g2={g2}, s={s}"

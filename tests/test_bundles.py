@@ -1,7 +1,7 @@
 import random
 import sys
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +72,38 @@ class TestBaseFormulas:
         for r in range(2, 7):
             for c in product(range(r + 1), repeat=4):
                 assert 0 <= deg4_cb(r, c) <= r // 2
+
+
+def conformal_weight_degree(r, u):
+    """The level-one degree on a four-point class u from Fakhruddin's
+    conformal weights D(a) = a(r - a)/(2r): the four points' weights less
+    those of the three pairings {1, j}, kept in integers by scaling by 2r."""
+    twice = sum(a * (r - a) for a in u)
+    for b in u[1:]:
+        s = (u[0] + b) % r
+        twice -= s * (r - s)
+    degree, rest = divmod(twice, 2 * r)
+    assert rest == 0, (r, u)
+    return degree
+
+
+def test_memo_and_formulas_match_conformal_weights():
+    # every class u (sorted residues, sum 0 mod r) with r <= 24, read through
+    # the memo the n-point paths share and through each formula on its own:
+    # a fault common to all three families cannot agree with this oracle
+    classes = [
+        (r, u)
+        for r in range(1, 25)
+        for u in combinations_with_replacement(range(r), 4)
+        if sum(u) % r == 0
+    ]
+    assert len(classes) == 5144
+    for r, u in classes:
+        expected = conformal_weight_degree(r, u)
+        for family in BundleFamily:
+            assert bundles._deg4_class(family, r, u) == expected, (family, r, u)
+        for formula in (deg4_cb, deg4_git, deg4_cyc):
+            assert formula(r, u) == expected, (formula.__name__, r, u)
 
 
 class TestFCurveDegree:

@@ -357,7 +357,7 @@ class TestCover:
 
     def test_failed_invariant_is_internal_error(self, capsys, monkeypatch):
         # a genus that grows with the point count breaks g = g1 + g2 + s - 1
-        monkeypatch.setattr(covers, "_genus_value", lambda r, entries: (len(entries), 1))
+        monkeypatch.setattr(covers, "_genus_value", lambda r, entries: len(entries))
         code = cli.main(["cover", "--r", "4", "--weights", "2,1,3,3,1,2", "--split", "3"])
         assert code == 1
         captured = capsys.readouterr()

@@ -55,6 +55,21 @@ class TestGenus:
         with pytest.warns(DisconnectedCoverWarning):
             assert genus(CoverSpec(4, (2, 2, 2, 2))) == 1
 
+    def test_riemann_hurwitz_premises(self):
+        # on every valid CoverSpec with r <= 12, n <= 5 and weights below r:
+        # twice the genus is even, and connected data has a genus >= 0 and
+        # warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in range(2, 13):
+                for n in range(1, 6):
+                    for head in product(range(r), repeat=n - 1):
+                        c = head + (-sum(head) % r,)
+                        ramification = sum(r - gcd(e, r) for e in c)
+                        assert (2 - 2 * r + ramification) % 2 == 0, (r, c)
+                        if gcd(r, *c) == 1:
+                            assert genus(CoverSpec(r, c)) >= 0, (r, c)
+
     @given(st.integers(2, 8), st.data())
     def test_permutation_invariance(self, r, data):
         n = data.draw(st.integers(2, 6))
