@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 import time
 import warnings
+from itertools import chain
 from types import SimpleNamespace
 
 from .bundles import (
@@ -289,6 +290,12 @@ def _cmd_degree(args) -> tuple[dict, list, bool]:
     return parameters, [{"degree": deg, "induced_weights": induced}], True
 
 
+def _first(records: Iterator[str]) -> str:
+    """The first record, from as deep a stack as _emit's body pulls the rest:
+    a walk nests one frame per point, and its first descent is its deepest."""
+    return next(records)
+
+
 def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
     _at_least("--r", args.r, 1)
     family = _family("--family", args.family)
@@ -303,6 +310,11 @@ def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
         .replace("\0", a).replace("\1", b).replace("\2", c).replace("\3", d)
         for used, (a, b, c, d), degrees in blocks
     )
+    try:  # decided before any of the report is written
+        results = chain((_first(results),), results)
+    except RecursionError:
+        raise UsageError("--weights", f"{len(weights)} marked points nest the F-curve walk"
+                         f" deeper than this Python's recursion limit ({sys.getrecursionlimit()})")
     return {"family": family.value, "r": args.r, "weights": list(weights)}, results, True
 
 

@@ -10,7 +10,7 @@ weights over blocks mod r.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 
 from .records import Record
@@ -139,50 +139,26 @@ def _fcurves_cached(n: int) -> tuple[SetPartition4, ...]:
     )
 
 
-def _growth(used: int, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _walk(r: int, c: Sequence[int], first: int, opened: int) -> Iterator[tuple[int, tuple, tuple]]:
     """Restricted-growth strings, the one recursion of every F-curve walk: each
-    of `length` points joins one of `used` open blocks or opens the next, up to
-    four.  Yields (block per point, blocks open at the end) in lexicographic order."""
-    if length == 0:
-        yield (), used
-        return
-    for b in range(min(used + 1, 4)):
-        for rest, end in _growth(max(used, b + 1), length - 1):
-            yield (b,) + rest, end
-
-
-def _fill(r: int, c: Sequence[int], first: int, growth: tuple[int, ...]):
-    """The text and the weight mod r that points first+1, ... add to each block."""
+    of points first+1..len(c) joins an open block (`opened` at the start) or
+    opens the next, up to four.  Yields (blocks open, texts, sums mod r) per
+    leaf, lexicographically; an already open block gains its text after a comma."""
     texts, sums = ["", "", "", ""], [0, 0, 0, 0]
-    for i, b in enumerate(growth, first):
-        texts[b] += f",{i + 1}" if texts[b] else str(i + 1)
-        sums[b] += c[i]
-    return tuple(texts), tuple(s % r for s in sums)
 
+    def place(i: int, used: int) -> Iterator[tuple[int, tuple, tuple]]:
+        if i == len(c):
+            yield used, tuple(texts), tuple(sums)
+            return
+        label, weight = str(i + 1), c[i]
+        for b in range(min(used + 1, 4)):
+            text, total = texts[b], sums[b]
+            texts[b] = f"{text},{label}" if text or b < opened else label
+            sums[b] = (total + weight) % r
+            yield from place(i + 1, max(used, b + 1))
+            texts[b], sums[b] = text, total
 
-def _plan(r: int, c: Sequence[int], k: int) -> dict[int, list]:
-    """plan[opened] for opened = 1..4, in one pass over the placements of the
-    last k points; itertools.product yields them in walk order."""
-    points = [(str(i + 1), c[i]) for i in range(len(c) - k, len(c))]
-    plan: dict[int, list] = {opened: [] for opened in range(1, 5)}
-    for growth in product(range(4), repeat=k):
-        # a point may join block b when b <= max(opened, highest block so far + 1)
-        lowest, top = 1, -1
-        texts, sums = ["", "", "", ""], [0, 0, 0, 0]
-        for b, (label, weight) in zip(growth, points):
-            if b > top:
-                if b > top + 1:
-                    lowest = b
-                top = b
-            texts[b] += "," + label
-            sums[b] += weight
-        gains = (sums[0] % r, sums[1] % r, sums[2] % r, sums[3] % r)
-        # a block the prefix opened goes on after a comma; one opened here starts bare
-        continued, opening = tuple(texts), tuple([text[1:] for text in texts])
-        # fewer than four blocks opened before: the suffix must reach block 3
-        for opened in range(lowest if top == 3 else 4, 5):
-            plan[opened].append((continued[:opened] + opening[opened:], gains))
-    return plan
+    return place(first, opened)
 
 
 def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
@@ -197,8 +173,12 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     if n < 4:
         raise ValueError(f"need n >= 4, got n={n}")
     k = min(n - 4, 4)
-    prefixes = ((used, *_fill(r, c, 0, g)) for g, used in _growth(0, n - k) if used + k >= 4)
-    return _plan(r, c, k), prefixes
+    plan = {
+        opened: [(texts, sums) for used, texts, sums in _walk(r, c, n - k, opened) if used == 4]
+        for opened in range(1, 5)
+    }
+    prefixes = (prefix for prefix in _walk(r, c[: n - k], 0, 0) if prefix[0] + k >= 4)
+    return plan, prefixes
 
 
 def block_sums(

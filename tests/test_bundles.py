@@ -291,20 +291,17 @@ class TestVerifyMainTheorem:
             assert m.cyc == m.git + 1 == m.cb + 1
 
     def test_sweep_memory_is_flat_in_r(self):
-        bundles._deg4_class.cache_clear()
         tracemalloc.start()
         try:
             assert verify_main_theorem(90, 4).ok
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            bundles._deg4_class.cache_clear()
-        # about 30,000 classes, but only the bounded memo is kept
+        # about 30,000 classes, each compared and dropped
         assert peak < 3_000_000
 
     def test_memory_is_flat_in_n(self):
         # only a disagreeing class needs the n-point witness and its padding
-        verify_main_theorem(2, 5)  # warm the class memo
         tracemalloc.start()
         try:
             assert verify_main_theorem(2, 10**6).ok

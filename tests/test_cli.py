@@ -177,6 +177,21 @@ class TestDegvec:
                     tracemalloc.stop()
             assert peak < 2 * 2**20, f"{table}: peak {peak} bytes"
 
+    def test_handler_pulls_one_record_at_n12(self):
+        # the handler walks the first prefix only: the 611,501 F-curves of
+        # n = 12 still stream, and each record is of one prefix's size
+        weights = "1,2,0,1,2,0,1,2,0,1,2,0"
+        for table in ([], ["--table"]):
+            args = cli._parse(table + ["degvec", "--family", "cb", "--r", "3", "--weights", weights])
+            tracemalloc.start()
+            try:
+                _, results, ok = args.handler(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ok and peak < 2**20, f"{table}: peak {peak} bytes"
+            assert len(next(results)) < 2**20
+
     def test_builds_no_partition_objects(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("degvec built partition objects")
@@ -875,6 +890,15 @@ class TestWholeProcess:
         with open(path, "wb") as out:
             done = self.spawn(DEGVEC_N10, stdout=out, stderr=subprocess.PIPE)
         assert (path.read_bytes(), done.stderr, done.returncode) == want
+
+    @pytest.mark.parametrize("count", [1200, 5000])
+    def test_walk_deeper_than_the_recursion_limit_is_refused(self, count):
+        # one frame per point: refused before the report's head is written
+        argv = ["degvec", "--family", "cb", "--r", "3", "--weights", ",".join(["1"] * count)]
+        done = self.spawn(argv, capture_output=True)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(f"error: --weights: {count} marked points ".encode())
+        assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
 
     def test_installed_command_is_run(self):
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -17,6 +17,26 @@ from divfact.strata import (
 from divfact.weights import WeightVector, psi_rule
 
 
+def growth_reference(r, c, first, opened):
+    """Every placement of points first+1, ..., len(c) after `opened` open blocks,
+    as (blocks open, block texts, block sums mod r), filtered out of
+    itertools.product in its lexicographic order: a point may open at most the
+    next block, and a block opened before point first+1 gains its text after a
+    comma."""
+    found = []
+    for labels in product(range(4), repeat=len(c) - first):
+        used, texts, sums = opened, ["", "", "", ""], [0, 0, 0, 0]
+        for i, b in enumerate(labels, first):
+            if b > used:
+                break
+            used = max(used, b + 1)
+            texts[b] += f",{i + 1}" if b < opened or texts[b] else str(i + 1)
+            sums[b] += c[i]
+        else:
+            found.append((used, tuple(texts), tuple(s % r for s in sums)))
+    return found
+
+
 def brute_force_cut_count(n):
     """Count subset/complement pairs by enumerating all subsets directly."""
     seen = set()
@@ -133,26 +153,27 @@ class TestFCurves:
             assert [sums for _, sums in walked] == [block_sums(r, c, p.blocks) for p in parts]
 
     def test_suffix_plan_matches_growth_reference(self):
-        # the plan as the restricted-growth recursion builds it: every
-        # continuation of `opened` blocks that ends with four, filled in turn
-        def fill(r, c, first, growth, opened):
-            texts, sums = ["", "", "", ""], [0, 0, 0, 0]
-            for i, b in enumerate(growth, first):
-                texts[b] += f",{i + 1}" if b < opened or texts[b] else str(i + 1)
-                sums[b] += c[i]
-            return tuple(texts), tuple(s % r for s in sums)
-
         rng = random.Random(5)
         for n in range(4, 10):
             k = min(n - 4, 4)
             for r in (1, 2, 5, 1000):
                 c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
                 want = {
-                    opened: [fill(r, c, n - k, g, opened) for g, used in strata._growth(opened, k) if used == 4]
+                    opened: [(texts, sums) for used, texts, sums in growth_reference(r, c, n - k, opened) if used == 4]
                     for opened in range(1, 5)
                 }
                 plan, _ = strata.split_walk(r, c)
                 assert plan == want and list(plan) == [1, 2, 3, 4]
+
+    def test_prefixes_match_growth_reference(self):
+        rng = random.Random(6)
+        for n in range(4, 11):
+            k = min(n - 4, 4)
+            for r in (1, 2, 5, 1000):
+                c = [rng.randrange(-3 * r, 3 * r) for _ in range(n)]
+                want = [prefix for prefix in growth_reference(r, c[: n - k], 0, 0) if prefix[0] + k >= 4]
+                _, prefixes = strata.split_walk(r, c)
+                assert list(prefixes) == want
 
     def test_walk_rejects_fewer_than_four_points(self):
         with pytest.raises(ValueError):
