@@ -6,12 +6,11 @@ pulled back from quotients of point configurations, and (tensor powers
 of) Hodge eigenbundle determinants on cyclic-cover loci.  Each family
 obeys the same boundary restriction rule, so its degree on an F-curve
 only depends on the four block sums of the weights.  This module holds
-the three four-point degree formulas and a memo of each family's degree
-on one four-point class mod r, through which the n-point fast paths read.
-On top of it sit the degree vectors, the check of the three families'
-coincidence (a comparison of the three formulas themselves on every
-class, not of the memo, where a fault would be common to all three), and
-a check of the factorization rule's attaching residues on a boundary cut.
+each family's own derivation of its degree on one four-point class, read
+unchecked by the n-point paths and, after one check of outside input, by
+the public deg4_* functions.  On top of it sit the degree vectors, the
+comparison of the three derivations on every class, and a check of the
+factorization rule's attaching residues on a boundary cut.
 
 GIT degrees are stored at the scale of the quotient's hyperplane class
 times r (equivalently, the r-th tensor power convention used for the
@@ -41,11 +40,6 @@ class BundleFamily(Enum):
     GIT = "git"
     CYC = "cyc"
 
-    # members are singletons compared by identity, so hash them by identity
-    # too: in C, not through Enum.__hash__, since every _deg4_class lookup
-    # hashes its family
-    __hash__ = object.__hash__
-
 
 def _check_modulus(r: int) -> None:
     if r < 1:
@@ -65,24 +59,39 @@ def _check_base_input(r: int, c: Sequence[int]) -> list[int]:
 def deg4_cb(r: int, c: Sequence[int]) -> int:
     """Degree of the four-point level-one conformal block bundle.
 
-    With c sorted ascending: c1 if |c| = 2r and c2 + c3 >= c1 + c4,
-    r - c4 if |c| = 2r and c2 + c3 <= c1 + c4, and 0 otherwise.  The two
-    branches agree when both inequalities hold.
+    Fakhruddin's class sum_i D(c_i) psi_i - sum_S D(c_S) delta_S ("Chern classes
+    of conformal blocks"), D(a) = a(r - a)/(2r) the conformal weight of a residue
+    mod r, on the line of four points: the points' weights less those of the
+    three boundary points, where point 1 meets point j with s_j = (c1 + cj) mod r.
+    So 2r times the degree is sum a(r - a) - sum_{j=2..4} s_j(r - s_j), and 0
+    when r does not divide |c| (trivial bundle).
     """
-    c1, c2, c3, c4 = _check_base_input(r, c)
-    if c1 + c2 + c3 + c4 != 2 * r:
+    return _cb(r, _check_base_input(r, c))
+
+
+def _cb(r: int, c: Sequence[int]) -> int:
+    c1, c2, c3, c4 = c
+    if (c1 + c2 + c3 + c4) % r:
         return 0
-    if c2 + c3 >= c1 + c4:
-        return c1
-    return r - c4
+    s2, s3, s4 = (c1 + c2) % r, (c1 + c3) % r, (c1 + c4) % r
+    twice = c1 * (r - c1) + c2 * (r - c2) + c3 * (r - c3) + c4 * (r - c4)
+    return (twice - s2 * (r - s2) - s3 * (r - s3) - s4 * (r - s4)) // (2 * r)
 
 
 def deg4_git(r: int, c: Sequence[int]) -> int:
     """Degree of the four-point GIT bundle, at r times the quotient scale.
 
-    min(c1, r - c4) when |c| = 2r (weights sorted ascending), else 0.
+    The invariants of weight m c on four points of the line are spanned by the
+    semistandard 2 x (m r) tableaux with content m c; let h(m) count them.  The
+    degree on the quotient line is h(m + 1) - h(m): at m = 0, the number of
+    2 x r tableaux with content c less 1.  For c sorted ascending with |c| = 2r
+    that number is min(c1, r - c4) + 1, so the degree is min(c1, r - c4); else 0.
     """
-    c1, c2, c3, c4 = _check_base_input(r, c)
+    return _git(r, _check_base_input(r, c))
+
+
+def _git(r: int, c: Sequence[int]) -> int:
+    c1, c2, c3, c4 = c
     if c1 + c2 + c3 + c4 != 2 * r:
         return 0
     return min(c1, r - c4)
@@ -98,25 +107,20 @@ def deg4_cyc(r: int, c: Sequence[int]) -> int:
     min(0, r - c1 - c3) + min(0, r - c2 - c3) + min(c3, r - c4); else 0.  It
     must agree with the class of Fedorchuk, "Cyclic covering morphisms on M-bar_{0,n}".
     """
-    c1, c2, c3, c4 = _check_base_input(r, c)
+    return _cyc(r, _check_base_input(r, c))
+
+
+def _cyc(r: int, c: Sequence[int]) -> int:
+    c1, c2, c3, c4 = c
     if c1 + c2 + c3 + c4 != 2 * r:
         return 0
-    # min() spelled as conditionals: a memo miss runs this (166,605 times at r = 1000, n = 12)
+    # min() spelled as conditionals: the n-point paths run this once per class read
     at_0, at_1, at_inf = r - c1 - c3, r - c2 - c3, r - c4
     return (at_0 if at_0 < 0 else 0) + (at_1 if at_1 < 0 else 0) + (c3 if c3 < at_inf else at_inf)
 
 
-_BASE_FORMULAS = {
-    BundleFamily.CB: deg4_cb,
-    BundleFamily.GIT: deg4_git,
-    BundleFamily.CYC: deg4_cyc,
-}
-
-
-@lru_cache(maxsize=4096)
-def _deg4_class(family: BundleFamily, r: int, u: tuple[int, ...]) -> int:
-    """The family's degree on one class u: sorted residues mod r, sum 0 mod r."""
-    return _BASE_FORMULAS[family](r, u)
+# each family's derivation on a sorted class in {0, ..., r}, unchecked
+_DERIVATIONS = {BundleFamily.CB: _cb, BundleFamily.GIT: _git, BundleFamily.CYC: _cyc}
 
 
 def fcurve_degree(
@@ -124,7 +128,7 @@ def fcurve_degree(
 ) -> int:
     """Degree of the family's bundle for weights c on one F-curve.
 
-    Reduces to the four-point base formula applied to the block sums of c
+    Reduces to the family's four-point derivation on the block sums of c
     mod r.  Returns 0 when r does not divide the total weight (trivial
     bundle convention).
     """
@@ -134,10 +138,7 @@ def fcurve_degree(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
     _check_modulus(r)
-    sums = block_sums(r, entries, partition.blocks)
-    if sum(sums) % r != 0:
-        return 0
-    return _deg4_class(family, r, tuple(sorted(sums)))
+    return _DERIVATIONS[family](r, sorted(block_sums(r, entries, partition.blocks)))
 
 
 class DegreeVector(Record):
@@ -159,12 +160,14 @@ def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict,
     Returns split_walk's plan and per prefix (used, texts, degrees), degrees[j]
     on the F-curve that plan[used][j] completes, as a tuple; all 0 if r does
     not divide |c| (trivial bundle).  The degrees depend only on (used, sums),
-    so each such row is read once, one lookup per distinct gain, and kept in a
-    bounded memo; nothing is kept per F-curve."""
+    so each such row is derived once, one derivation per distinct gain, and
+    kept in a bounded memo, the one four-point table of the walk; nothing is
+    kept per F-curve."""
     entries = tuple(int(x) for x in c)
     _check_modulus(r)
     plan, prefixes = split_walk(r, entries)
     trivial = sum(entries) % r != 0
+    derive = _DERIVATIONS[family]
     groups = {}
     for used, rows in plan.items():
         distinct: dict[tuple[int, ...], int] = {}  # gain -> its index
@@ -177,10 +180,7 @@ def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict,
         index, gains = groups[used]
         if trivial:
             return (0,) * len(index)
-        degrees = [
-            _deg4_class(family, r, tuple(sorted([(p + g) % r for p, g in zip(sums, gain)])))
-            for gain in gains
-        ]
+        degrees = [derive(r, sorted([(p + g) % r for p, g in zip(sums, gain)])) for gain in gains]
         return tuple([degrees[i] for i in index])
 
     blocks = ((used, texts, row(used, sums)) for used, texts, sums in prefixes)
@@ -235,7 +235,7 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
         u = head + (-sum(head) % r,)
         if u[3] < u[2]:
             continue
-        cb, git, cyc = (_BASE_FORMULAS[f](r, u) for f in BundleFamily)
+        cb, git, cyc = (derive(r, u) for derive in _DERIVATIONS.values())
         if not cb == git == cyc:
             mismatches.append((u, cb, git, cyc))
     if mismatches:  # the witness and its padding have size n: built only to report

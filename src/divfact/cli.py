@@ -519,10 +519,6 @@ _COMMANDS = {
     ),
 }
 
-# the flags before the command
-_TOP = ("-h", "--help", "--table")
-
-
 class _Help(Exception):
     """-h or --help was given: the usage text to print."""
 
@@ -596,58 +592,36 @@ def _option(token: str, names: Sequence[str]) -> tuple[str | None, str | None] |
     return None, None
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
-    """The command and its flags, as the namespace {table, command, handler,
-    and one attribute per flag}.
+def _read(
+    tokens: list[str], flags: dict[str, str], late: list[UsageError], command: str | None = None
+) -> tuple[dict, int]:
+    """One level's flags, one value each, and the index where the read
+    stopped: at the command for the top level (command None), else at the end.
 
-    Raises _Help for -h or --help, and UsageError for the flag at fault.  An
-    unknown flag or a stray value is reported only once every argument is
-    read, after a missing required flag, so a later --help still prints help.
-    """
-    # every argument is read before any is acted on: an ambiguous one fails first
-    for token in argv[: argv.index("--") if "--" in argv else len(argv)]:
-        _option(token, _TOP)
-    late: list[UsageError] = []
-    table = False
-    for at, token in enumerate(argv):
-        option = _option(token, _TOP)
-        if option is None:
-            break
-        flag, text = option
-        if flag is None:
-            late.append(UsageError(token.partition("=")[0], "unknown flag; only --table comes before the command"))
-        elif text is not None:
-            raise UsageError(flag, f"takes no value, got {text!r}")
-        elif flag == "--table":
-            table = True
-        else:
-            raise _Help(_usage())
-    else:
-        raise UsageError("command", f"missing; choose {', '.join(_COMMANDS)}")
-    command = token
-    if command not in _COMMANDS:
-        raise UsageError("command", f"unknown command {command!r}; choose {', '.join(_COMMANDS)}")
-    handler, _, flags = _COMMANDS[command]
+    Raises _Help and UsageError as _parse does, a missing required flag
+    included; an unknown flag or a stray value goes to late."""
     names = ("-h", "--help", *(f"--{name}" for name in flags))
-    rest = argv[at + 1 :]
-    for token in rest[: rest.index("--") if "--" in rest else len(rest)]:
+    # every argument is read before any is acted on: an ambiguous one fails first
+    for token in tokens[: tokens.index("--") if "--" in tokens else len(tokens)]:
         _option(token, names)
-
     values = {name: False if kind is _SWITCH else None for name, kind in flags.items()}
     given = set()
     blame = command  # a stray value is reported against the flag before it
     i = 0
-    while i < len(rest):
-        token = rest[i]
+    while i < len(tokens):
+        token = tokens[i]
         i += 1
         option = _option(token, names)
         if option is None:
+            if command is None:
+                return values, i - 1
             late.append(UsageError(blame, f"unexpected argument {token!r}"))
             continue
         flag, text = option
         if flag is None:
-            known = ", ".join(names[2:])
-            late.append(UsageError(token.partition("=")[0], f"unknown flag; {command} takes {known}"))
+            known = (f"{command} takes {', '.join(names[2:])}" if command is not None
+                     else "only --table comes before the command")
+            late.append(UsageError(token.partition("=")[0], f"unknown flag; {known}"))
             continue
         name = flag[2:]
         kind = flags.get(name, _SWITCH)  # -h and --help are switches too
@@ -661,9 +635,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             values[name] = True
             continue
         if text is None:
-            if i == len(rest) or _option(rest[i], names) is not None:
+            if i == len(tokens) or _option(tokens[i], names) is not None:
                 raise UsageError(flag, "expected a value")
-            text = rest[i]
+            text = tokens[i]
             i += 1
         if kind is _TEXT or text == "--":  # "--" is refused below, once all is read
             values[name] = text
@@ -675,12 +649,32 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     for name, kind in flags.items():
         if kind in (_INT, _TEXT) and name not in given:
             raise UsageError(f"--{name}", "required")
+    return values, i
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its flags, as the namespace {table, command, handler,
+    and one attribute per flag}.
+
+    Raises _Help for -h or --help, and UsageError for the flag at fault.  An
+    unknown flag or a stray value is reported only once every argument is
+    read, after a missing required flag, so a later --help still prints help.
+    """
+    late: list[UsageError] = []
+    top, at = _read(argv, {"table": _SWITCH}, late)
+    if at == len(argv):
+        raise UsageError("command", f"missing; choose {', '.join(_COMMANDS)}")
+    command = argv[at]
+    if command not in _COMMANDS:
+        raise UsageError("command", f"unknown command {command!r}; choose {', '.join(_COMMANDS)}")
+    handler, _, flags = _COMMANDS[command]
+    values, _ = _read(argv[at + 1 :], flags, late, command)
     if late:
         raise late[0]
     for name, value in values.items():
         if value == "--":
             raise UsageError(f"--{name}", "expected a value, got '--'")
-    return SimpleNamespace(table=table, command=command, handler=handler, **values)
+    return SimpleNamespace(table=top["table"], command=command, handler=handler, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

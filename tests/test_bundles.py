@@ -18,6 +18,7 @@ from divfact.bundles import (
     fcurve_degree,
     verify_main_theorem,
 )
+from divfact.invariants import enumerate_tableaux
 from divfact.strata import SetPartition4, enumerate_boundary_cuts, enumerate_fcurves, split_walk
 from divfact.weights import WeightVector
 from test_strata import stirling4
@@ -40,7 +41,7 @@ class TestBaseFormulas:
         assert deg4_cyc(2, (0, 0, 0, 0)) == 0
 
     def test_cb_branch_agreement_at_equality(self):
-        # c2 + c3 == c1 + c4 makes both branches equal
+        # c2 + c3 == c1 + c4 makes both sides of min(c1, r - c4) equal
         for r in range(2, 7):
             for c in product(range(r + 1), repeat=4):
                 ordered = sorted(c)
@@ -87,9 +88,10 @@ def conformal_weight_degree(r, u):
     return degree
 
 
-def test_memo_and_formulas_match_conformal_weights():
-    # every class u (sorted residues, sum 0 mod r) with r <= 24, read through
-    # the memo the n-point paths share and through each formula on its own:
+def test_derivations_match_conformal_weights():
+    # every class u (sorted residues, sum 0 mod r) with r <= 24, per family
+    # read through its derivation, which the n-point paths read, through
+    # fcurve_degree on the F-curve 1/2/3/4 and through its checked deg4_*:
     # a fault common to all three families cannot agree with this oracle
     classes = [
         (r, u)
@@ -98,12 +100,27 @@ def test_memo_and_formulas_match_conformal_weights():
         if sum(u) % r == 0
     ]
     assert len(classes) == 5144
+    line = enumerate_fcurves(4)[0]
+    checked = {BundleFamily.CB: deg4_cb, BundleFamily.GIT: deg4_git, BundleFamily.CYC: deg4_cyc}
     for r, u in classes:
         expected = conformal_weight_degree(r, u)
-        for family in BundleFamily:
-            assert bundles._deg4_class(family, r, u) == expected, (family, r, u)
-        for formula in (deg4_cb, deg4_git, deg4_cyc):
+        for family, formula in checked.items():
+            assert bundles._DERIVATIONS[family](r, u) == expected, (family, r, u)
+            assert fcurve_degree(family, r, u, line) == expected, (family, r, u)
             assert formula(r, u) == expected, (formula.__name__, r, u)
+
+
+def test_git_counts_tableaux():
+    # the GIT degree is h(1) - h(0): the 2 x r tableaux with content c, less
+    # the one of content 0, on every c in {0, ..., r}^4 with |c| = 2r, r <= 8
+    classes = [
+        (r, c) for r in range(1, 9) for c in product(range(r + 1), repeat=4) if sum(c) == 2 * r
+    ]
+    assert len(classes) == 1364
+    for r, c in classes:
+        expected = len(enumerate_tableaux(1, r, c)) - 1
+        assert deg4_git(r, c) == expected, (r, c)
+        assert bundles._DERIVATIONS[BundleFamily.GIT](r, sorted(c)) == expected, (r, c)
 
 
 class TestFCurveDegree:
@@ -171,18 +188,18 @@ class TestDegreeVector:
 class TestDegreeBlocks:
     def test_one_lookup_per_row_and_gain(self, monkeypatch):
         # a prefix's degrees depend only on (blocks opened, prefix sums): each
-        # distinct row is read once, one lookup per distinct gain in it
+        # distinct row is derived once, one derivation call per distinct gain in it
         r, c = 5, (0, 0, 2, 3, 4, 0, 2, 3, 2, 4)
         plan, prefixes = split_walk(r, c)
         rows = {(used, sums, gain) for used, _, sums in prefixes for _, gain in plan[used]}
         lookups = []
-        deg4_class = bundles._deg4_class
+        derive = bundles._DERIVATIONS[BundleFamily.CYC]
 
-        def counted(family, modulus, u):
+        def counted(modulus, u):
             lookups.append(u)
-            return deg4_class(family, modulus, u)
+            return derive(modulus, u)
 
-        monkeypatch.setattr(bundles, "_deg4_class", counted)
+        monkeypatch.setitem(bundles._DERIVATIONS, BundleFamily.CYC, counted)
         _, blocks = degree_blocks(BundleFamily.CYC, r, c)
         assert sum(len(degrees) for _, _, degrees in blocks) == stirling4(10)
         assert len(lookups) == len(rows) == 3084
@@ -194,7 +211,6 @@ class TestDegreeBlocks:
         c = (137, 582, 867, 821, 782, 64, 261, 120, 507, 779, 80)
 
         def peak(keep):
-            bundles._deg4_class.cache_clear()
             tracemalloc.start()
             try:
                 kept = []
@@ -204,7 +220,6 @@ class TestDegreeBlocks:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                bundles._deg4_class.cache_clear()
 
         _, blocks = degree_blocks(BundleFamily.GIT, 1000, c)
         rows = [sys.getsizeof(degrees) for _, _, degrees in blocks]
@@ -234,29 +249,25 @@ class TestVerifyMainTheorem:
         # shift one four-point class of one family; the class check must
         # report exactly the classes of the (c, F-curve) pairs an exhaustive
         # sweep finds, once each, in sorted order, on witnesses that disagree
-        base = bundles._BASE_FORMULAS[family]
+        base = bundles._DERIVATIONS[family]
 
         def shifted(r, c):
             return base(r, c) + (1 if sorted(c) == [1, 1, 2, 2] else 0)
 
-        bundles._deg4_class.cache_clear()
-        monkeypatch.setitem(bundles._BASE_FORMULAS, family, shifted)
-        try:
-            report = verify_main_theorem(3, 5)
-            reference = set()
-            for c in product(range(3), repeat=5):
-                if sum(c) % 3:
-                    continue
-                for p in enumerate_fcurves(5):
-                    cb, git, cyc = (fcurve_degree(f, 3, c, p) for f in BundleFamily)
-                    if not cb == git == cyc:
-                        reference.add(tuple(sorted(strata.block_sums(3, c, p.blocks))))
-            witnessed = [
-                tuple(fcurve_degree(f, 3, m.c, m.partition) for f in BundleFamily)
-                for m in report.mismatches
-            ]
-        finally:
-            bundles._deg4_class.cache_clear()
+        monkeypatch.setitem(bundles._DERIVATIONS, family, shifted)
+        report = verify_main_theorem(3, 5)
+        reference = set()
+        for c in product(range(3), repeat=5):
+            if sum(c) % 3:
+                continue
+            for p in enumerate_fcurves(5):
+                cb, git, cyc = (fcurve_degree(f, 3, c, p) for f in BundleFamily)
+                if not cb == git == cyc:
+                    reference.add(tuple(sorted(strata.block_sums(3, c, p.blocks))))
+        witnessed = [
+            tuple(fcurve_degree(f, 3, m.c, m.partition) for f in BundleFamily)
+            for m in report.mismatches
+        ]
         assert reference == {(1, 1, 2, 2)}
         classes = [
             tuple(sorted(strata.block_sums(3, m.c, m.partition.blocks))) for m in report.mismatches
@@ -271,18 +282,14 @@ class TestVerifyMainTheorem:
         def listed(n):
             raise AssertionError(f"the sweep listed the F-curves of n = {n}")
 
-        base = bundles._BASE_FORMULAS[BundleFamily.CYC]
+        base = bundles._DERIVATIONS[BundleFamily.CYC]
 
         def shifted(r, c):
             return base(r, c) + (1 if sorted(c)[0] == 1 else 0)
 
-        bundles._deg4_class.cache_clear()
-        monkeypatch.setitem(bundles._BASE_FORMULAS, BundleFamily.CYC, shifted)
+        monkeypatch.setitem(bundles._DERIVATIONS, BundleFamily.CYC, shifted)
         monkeypatch.setattr(bundles, "enumerate_fcurves", listed)
-        try:
-            report = verify_main_theorem(4, 12)
-        finally:
-            bundles._deg4_class.cache_clear()
+        report = verify_main_theorem(4, 12)
         # the classes mod 4 with least residue 1: (1,1,1,1), (1,1,3,3), (1,2,2,3)
         assert [m.c[:4] for m in report.mismatches] == [(1, 1, 1, 1), (1, 1, 3, 3), (1, 2, 2, 3)]
         for m in report.mismatches:
@@ -443,9 +450,12 @@ def _merged_reference(r, c, members) -> bool:
 
 
 def test_caches_are_bounded():
-    # a cache keyed by n must not keep every size a process has seen
-    for cached in (strata._fcurves_cached, bundles._deg4_class):
-        assert cached.cache_info().maxsize is not None
+    # a cache keyed by n or by class must not keep every size a process has
+    # seen: every module-level cache of the two modules, the F-curve list's among them
+    cached = [f for m in (strata, bundles) for f in vars(m).values() if hasattr(f, "cache_info")]
+    assert strata._fcurves_cached in cached
+    for f in cached:
+        assert f.cache_info().maxsize is not None
 
 
 def test_cut_sweep_memory_is_small():
