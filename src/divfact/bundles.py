@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .records import MutableRecord, Record
+from .records import MutableRecord, Record, at_least
 from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves, split_walk
 from .weights import WeightVector, phi_rule, psi_rule
 
@@ -41,13 +41,8 @@ class BundleFamily(Enum):
     CYC = "cyc"
 
 
-def _check_modulus(r: int) -> None:
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-
-
 def _check_base_input(r: int, c: Sequence[int]) -> list[int]:
-    _check_modulus(r)
+    at_least("r", r, 1)
     vals = sorted(map(int, c))
     if len(vals) != 4:
         raise ValueError(f"need exactly 4 weights, got {len(vals)}")
@@ -104,8 +99,10 @@ def deg4_cyc(r: int, c: Sequence[int]) -> int:
     infinity, the cover carries w = dx x^(-c1/r) (x-1)^(-c2/r) (x-t)^(-c3/r).
     When |c| = 2r, w spans its eigenspace, of rank 1 (Chevalley-Weil), and the
     degree on the t-line is r times w's orders at t = 0, 1 and infinity:
-    min(0, r - c1 - c3) + min(0, r - c2 - c3) + min(c3, r - c4); else 0.  It
-    must agree with the class of Fedorchuk, "Cyclic covering morphisms on M-bar_{0,n}".
+    min(0, r - c1 - c3) + min(0, r - c2 - c3) + min(c3, r - c4); else 0.  The
+    order at t = 0 is always 0, so _cyc drops it: sorted, c1 + c3 <= c2 + c4,
+    and the two sum to 2r, so c1 + c3 <= r.  It must agree with the class of
+    Fedorchuk, "Cyclic covering morphisms on M-bar_{0,n}".
     """
     return _cyc(r, _check_base_input(r, c))
 
@@ -115,8 +112,8 @@ def _cyc(r: int, c: Sequence[int]) -> int:
     if c1 + c2 + c3 + c4 != 2 * r:
         return 0
     # min() spelled as conditionals: the n-point paths run this once per class read
-    at_0, at_1, at_inf = r - c1 - c3, r - c2 - c3, r - c4
-    return (at_0 if at_0 < 0 else 0) + (at_1 if at_1 < 0 else 0) + (c3 if c3 < at_inf else at_inf)
+    at_1, at_inf = r - c2 - c3, r - c4
+    return (at_1 if at_1 < 0 else 0) + (c3 if c3 < at_inf else at_inf)
 
 
 # each family's derivation on a sorted class in {0, ..., r}, unchecked
@@ -137,7 +134,7 @@ def fcurve_degree(
         raise ValueError(
             f"weight vector length {len(entries)} does not match partition on {partition.n} points"
         )
-    _check_modulus(r)
+    at_least("r", r, 1)
     return _DERIVATIONS[family](r, sorted(block_sums(r, entries, partition.blocks)))
 
 
@@ -164,7 +161,7 @@ def degree_blocks(family: BundleFamily, r: int, c: Sequence[int]) -> tuple[dict,
     kept in a bounded memo, the one four-point table of the walk; nothing is
     kept per F-curve."""
     entries = tuple(int(x) for x in c)
-    _check_modulus(r)
+    at_least("r", r, 1)
     plan, prefixes = split_walk(r, entries)
     trivial = sum(entries) % r != 0
     derive = _DERIVATIONS[family]
@@ -224,10 +221,8 @@ def verify_main_theorem(r: int, n: int) -> MainTheoremReport:
     implementation bug; the report carries one, on that witness, per
     disagreeing class, in sorted order.
     """
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    at_least("r", r, 2)
+    at_least("n", n, 4)
     mismatches = []
     # the last residue is fixed by the other three: each sorted class once,
     # in lexicographic order
@@ -265,7 +260,7 @@ def check_git_factorization(r: int, c: Sequence[int], members: Iterable[int]) ->
     they are, every F-curve has equal block sums, and the F-curves are
     walked only when they are not, one degree row per prefix of each.
     """
-    _check_modulus(r)
+    at_least("r", r, 1)
     entries = tuple(int(x) for x in c)
     wv = WeightVector(r, tuple(e % r for e in entries))
     inside = tuple(sorted(set(int(i) for i in members)))

@@ -32,6 +32,7 @@ from .bundles import (
     verify_main_theorem,
 )
 from .covers import CoverSpec, DisconnectedCoverWarning, InvariantError, degenerate, genus
+from .records import at_least, between
 from .strata import BoundaryCut, SetPartition4, block_sums, count_fcurves
 from .weights import Linearization, RangeConditionError
 
@@ -98,18 +99,6 @@ def _parse_points(flag: str, text: str, d: int) -> PointConfiguration:
             raise UsageError(flag, "empty point")
         columns.append(_parse_rationals(flag, chunk))
     return _blamed(flag, PointConfiguration, d, tuple(columns))
-
-
-def _at_least(flag: str, value: int, lowest: int) -> None:
-    if value < lowest:
-        raise UsageError(flag, f"need {flag[2:]} >= {lowest}, got {value}")
-
-
-def _between(flag: str, value: int, lowest: int, highest: int) -> None:
-    if not lowest <= value <= highest:
-        raise UsageError(
-            flag, f"need {lowest} <= {flag[2:]} <= {highest}, got {value}"
-        )
 
 
 # the most digits this Python prints an int with (from 3.10.7 and 3.11; 0 is no limit)
@@ -273,7 +262,7 @@ _DEGVEC_TABLE = "degree=%%d  fcurve=\0%s/\1%s/\2%s/\3%s"
 
 
 def _cmd_degree(args) -> tuple[dict, list, bool]:
-    _at_least("--r", args.r, 1)
+    _blamed("--r", at_least, "r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     _marked_points(weights)
@@ -297,7 +286,7 @@ def _first(records: Iterator[str]) -> str:
 
 
 def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
-    _at_least("--r", args.r, 1)
+    _blamed("--r", at_least, "r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
     _marked_points(weights)
@@ -319,8 +308,8 @@ def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
 
 
 def _cmd_verify_main(args) -> tuple[dict, list, bool]:
-    _at_least("--r", args.r, 2)
-    _at_least("--n", args.n, 4)
+    _blamed("--r", at_least, "r", args.r, 2)
+    _blamed("--n", at_least, "n", args.n, 4)
     _printable_counts(args.r, args.n)
     start = time.perf_counter()
     outcome = verify_main_theorem(args.r, args.n)
@@ -351,7 +340,7 @@ def _cmd_verify_main(args) -> tuple[dict, list, bool]:
 
 
 def _cmd_factor_check(args) -> tuple[dict, list, bool]:
-    _at_least("--r", args.r, 1)
+    _blamed("--r", at_least, "r", args.r, 1)
     weights = _parse_ints("--weights", args.weights)
     _marked_points(weights)
     cut = _parse_ints("--cut", args.cut)
@@ -362,7 +351,7 @@ def _cmd_factor_check(args) -> tuple[dict, list, bool]:
 
 
 def _cmd_cover(args) -> tuple[dict, list, bool]:
-    _at_least("--r", args.r, 2)
+    _blamed("--r", at_least, "r", args.r, 2)
     weights = _parse_ints("--weights", args.weights)
     spec = _blamed("--weights", CoverSpec, args.r, weights)
     if args.split is None:
@@ -377,7 +366,7 @@ def _cmd_cover(args) -> tuple[dict, list, bool]:
         results = [{"genus": g}]
     else:
         _marked_points(weights)
-        _between("--split", args.split, 2, spec.n - 2)
+        _blamed("--split", between, "split", args.split, 2, spec.n - 2)
         data = degenerate(spec, args.split)
         _printable_genera(data.g, data.g1, data.g2)
         results = [
@@ -394,11 +383,11 @@ def _cmd_cover(args) -> tuple[dict, list, bool]:
 
 
 def _cmd_tableaux(args) -> tuple[dict, list, bool]:
-    _at_least("--d", args.d, 0)
-    _at_least("--k", args.k, 1 if args.restrict else 0)
+    _blamed("--d", at_least, "d", args.d, 0)
+    _blamed("--k", at_least, "k", args.k, 1 if args.restrict else 0)
     content = _parse_ints("--content", args.content)
     for x in content:
-        _at_least("--content", x, 0)
+        _blamed("--content", at_least, "content", x, 0)
     if sum(content) != args.k * (args.d + 1):
         raise UsageError(
             "--content",
@@ -408,8 +397,8 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
         if args.n1 is None or args.d1 is None:
             raise UsageError("--restrict", "requires --n1 and --d1")
         n = len(content)
-        _between("--n1", args.n1, 2, n - 2)
-        _between("--d1", args.d1, 1, args.d - 1)
+        _blamed("--n1", between, "n1", args.n1, 2, n - 2)
+        _blamed("--d1", between, "d1", args.d1, 1, args.d - 1)
         from fractions import Fraction
 
         from .invariants import verify_restriction_theorem
@@ -459,15 +448,13 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
 
 
 def _cmd_semistable(args) -> tuple[dict, list, bool]:
-    _at_least("--d", args.d, 1)
+    _blamed("--d", at_least, "d", args.d, 1)
     from .invariants import is_semistable
 
     weights = _parse_rationals("--weights", args.weights)
     c = _blamed("--weights", Linearization, weights, args.d)
     cfg = _parse_points("--points", args.points, args.d)
-    if cfg.n != c.n:
-        raise UsageError("--points", f"{cfg.n} points but {c.n} weights")
-    verdict = is_semistable(cfg, c)
+    verdict = _blamed("--points", is_semistable, cfg, c)
     parameters = {
         "d": args.d,
         "weights": [str(w) for w in weights],

@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from math import gcd
 
-from .records import Record
+from .records import Record, at_least, between
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
@@ -46,8 +46,7 @@ class CoverSpec(Record):
     __slots__ = ("r", "entries")
 
     def __init__(self, r: int, entries: Iterable[int]) -> None:
-        if r < 2:
-            raise ValueError(f"cover degree must be >= 2, got r={r}")
+        at_least("r", r, 2)
         entries = tuple(int(e) for e in entries)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
@@ -111,8 +110,7 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
     """
     r, entries = spec.r, spec.entries
     n = spec.n
-    if not 2 <= n1 <= n - 2:
-        raise ValueError(f"n1={n1} must satisfy 2 <= n1 <= n-2 = {n - 2}")
+    between("n1", n1, 2, n - 2)
     left = sum(entries[:n1])
     right = sum(entries[n1:])
     s_left = gcd(left, r)

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Hashable, Iterator, Sequence
 
 from .polynomials import Poly, determinant
-from .records import MutableRecord, Record
+from .records import MutableRecord, Record, at_least
 from .weights import Linearization, split_linearization
 
 Column = tuple[int, ...]
@@ -75,8 +75,8 @@ def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
     is deterministic; the backtracking keeps its own stack, so any size
     runs without recursion.
     """
-    if d < 0 or k < 0:
-        raise ValueError(f"need d >= 0 and k >= 0, got d={d}, k={k}")
+    at_least("d", d, 0)
+    at_least("k", k, 0)
     n = len(content)
     remaining = [int(x) for x in content]
     if any(x < 0 for x in remaining):
@@ -465,8 +465,7 @@ def verify_restriction_theorem(
     n = n1 + n2
     if c.d != d or c.n != n:
         raise ValueError(f"linearization must live in Delta({d + 1}, {n})")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    at_least("k", k, 1)
     scaled = [k * x for x in c.entries]
     if any(x.denominator != 1 for x in scaled):
         raise ValueError(

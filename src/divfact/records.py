@@ -1,12 +1,28 @@
-"""Value records: `__slots__` classes compared, hashed and shown by field.
+"""Value records: `__slots__` classes compared, hashed and shown by field,
+and the two rules every range condition on an input is stated with.
 
 Not `dataclasses`, on purpose: importing it loads `inspect` and `ast`, and
 each decoration compiles generated methods, which cost a CLI process
-several times the rest of the package's import."""
+several times the rest of the package's import.
+
+at_least and between are the two rules: each raises the one ValueError
+text for its kind of bound, "need NAME >= LOW" or "need LOW <= NAME <=
+HIGH", and the value got.  Every window of the library's domain is stated
+through them, and the CLI reports their text against the flag at fault."""
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+def at_least(name: str, value: int, lowest: int) -> None:
+    if value < lowest:
+        raise ValueError(f"need {name} >= {lowest}, got {value}")
+
+
+def between(name: str, value: int, lowest: int, highest: int) -> None:
+    if not lowest <= value <= highest:
+        raise ValueError(f"need {lowest} <= {name} <= {highest}, got {value}")
 
 
 class Record:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
-from .records import Record
+from .records import Record, at_least, between
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
 TYPE_CHECKING = False
@@ -31,15 +31,11 @@ class BoundaryCut(Record):
     __slots__ = ("n", "members")
 
     def __init__(self, n: int, members: Iterable[int]) -> None:
-        if n < 4:
-            raise ValueError(f"need n >= 4, got n={n}")
+        at_least("n", n, 4)
         members = frozenset(int(i) for i in members)
         if any(i < 1 or i > n for i in members):
             raise ValueError(f"cut {sorted(members)} not within {{1, ..., {n}}}")
-        if not 2 <= len(members) <= n - 2:
-            raise ValueError(
-                f"cut size must lie between 2 and n-2 = {n - 2}, got {len(members)}"
-            )
+        between("cut size", len(members), 2, n - 2)
         if 1 not in members:
             members = frozenset(range(1, n + 1)) - members
         object.__setattr__(self, "n", n)
@@ -59,8 +55,7 @@ class SetPartition4(Record):
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
-        if n < 4:
-            raise ValueError(f"need n >= 4, got n={n}")
+        at_least("n", n, 4)
         blocks = tuple(frozenset(int(i) for i in b) for b in blocks)
         if len(blocks) != 4 or any(not b for b in blocks):
             raise ValueError("exactly four nonempty blocks required")
@@ -85,8 +80,7 @@ def enumerate_boundary_cuts(n: int) -> list[BoundaryCut]:
     Each subset/complement pair appears exactly once (the representative
     contains 1); there are 2^(n-1) - n - 1 of them.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got n={n}")
+    at_least("n", n, 4)
     cuts = []
     rest = range(2, n + 1)
     for size in range(2, n - 1):
@@ -170,8 +164,7 @@ def split_walk(r: int, c: Sequence[int]) -> tuple[dict, Iterator]:
     lists the ways the last k points finish it, as the (text, weight mod r)
     each block gains, in walk order; it is empty if opened + k < 4."""
     n = len(c)
-    if n < 4:
-        raise ValueError(f"need n >= 4, got n={n}")
+    at_least("n", n, 4)
     k = min(n - 4, 4)
     plan = {
         opened: [(texts, sums) for used, texts, sums in _walk(r, c, n - k, opened) if used == 4]

@@ -15,7 +15,7 @@ the integer paths never load it.
 
 from __future__ import annotations
 
-from .records import Record
+from .records import Record, at_least, between
 from .strata import BoundaryCut
 
 # annotations only: `typing` (with `re`) is not imported when the program runs
@@ -38,8 +38,7 @@ class WeightVector(Record):
     __slots__ = ("r", "entries")
 
     def __init__(self, r: int, entries: Iterable[int]) -> None:
-        if r < 1:
-            raise ValueError(f"cyclic order must be positive, got r={r}")
+        at_least("r", r, 1)
         entries = tuple(int(e) for e in entries)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
@@ -102,8 +101,7 @@ def in_hypersimplex(entries: Sequence[Rational], d: int) -> bool:
     """
     if not entries:
         raise ValueError("empty weight vector")
-    if d < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got d={d}")
+    at_least("d", d, 1)
     from fractions import Fraction
 
     vals = [Fraction(e) for e in entries]
@@ -130,10 +128,8 @@ def split_linearization(
     add up to d + 1, so the left window holds exactly when the right one does.
     """
     n, d = c.n, c.d
-    if not 2 <= n1 <= n - 2:
-        raise ValueError(f"n1={n1} must satisfy 2 <= n1 <= n-2 = {n - 2}")
-    if not 1 <= d1 <= d - 1:
-        raise ValueError(f"d1={d1} must satisfy 1 <= d1 <= d-1 = {d - 1}")
+    between("n1", n1, 2, n - 2)
+    between("d1", d1, 1, d - 1)
     d2 = d - d1
     # the entries are Fractions, so the sums are too
     left = sum(c.entries[:n1])

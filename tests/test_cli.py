@@ -962,6 +962,9 @@ class TestFlagSpelling:
             (["cover", "--r", "2", "--weights=1,1,1,1", "--=2"], "error: --: ambiguous: could be --help, --table\n"),
             (["--table=1", "cover"], "error: --table: takes no value, got '1'\n"),
             (["--bogus", "cover", "--r", "2", "--weights", "1,1,1,1"], "error: --bogus: unknown flag; only --table comes before the command\n"),
+            # a bare "--" names no flag, so it is neither a flag's value nor a flag
+            (["cover", "--r", "2", "--", "--weights", "1,1,1,1"], "error: --: unknown flag; cover takes --r, --weights, --split\n"),
+            (["cover", "--r", "--", "--weights", "1,1,1,1"], "error: --r: expected a value\n"),
         ],
     )
     def test_usage_errors_name_the_flag(self, capsys, argv, line):

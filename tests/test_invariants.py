@@ -326,6 +326,25 @@ class TestMuDecompose:
             Tableau(1, 2, right)
 
 
+def negated_sign(t, n1, n2, d1, d2):
+    raw = _mu_columns(t, n1, n2, d1, d2)
+    return raw if raw is None else (-raw[0], *raw[1:])
+
+
+def moved_weight(side, source, target):
+    """split_linearization with 1/2 of one side's weight moved from point
+    `source` to point `target` of that side (0-based, -1 the attaching point)."""
+    def split(c, n1, d1):
+        sides = list(split_linearization(c, n1, d1))
+        entries = list(sides[side].entries)
+        entries[source] -= Fraction(1, 2)
+        entries[target] += Fraction(1, 2)
+        sides[side] = Linearization(entries, sides[side].d)
+        return tuple(sides)
+
+    return split
+
+
 class TestVerifyRestriction:
     def test_small_case_full_checks(self):
         c = Linearization((Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(1)), 2)
@@ -401,6 +420,25 @@ class TestVerifyRestriction:
         assert len(report.failures) == report.decomposable == 4
         assert all("outside the span" in f for f in report.failures)
         assert not report.surjective
+
+    @pytest.mark.parametrize(
+        "name, fault, failure",
+        [
+            ("_mu_columns", negated_sign, "differs from signed product"),
+            ("_mu_columns", lambda *args: None, "should restrict to zero"),
+            ("split_linearization", moved_weight(1, -1, -2), "alpha + beta = 1 differs from k = 2"),
+            ("split_linearization", moved_weight(0, 0, 1), "differ from split weights"),
+        ],
+        ids=["negated_sign", "no_factors", "attaching_weight_moved", "point_weight_moved"],
+    )
+    def test_planted_fault_is_a_failure(self, monkeypatch, name, fault, failure):
+        # each fault reaches one of the symbolic checks; the clean report is ok
+        c = Linearization((Fraction(1, 2),) * 6, 2)
+        assert verify_restriction_theorem(1, 1, 3, 3, c, 2).ok
+        monkeypatch.setattr(invariants, name, fault)
+        report = verify_restriction_theorem(1, 1, 3, 3, c, 2)
+        assert not report.ok
+        assert any(failure in f for f in report.failures)
 
     def test_range_violation_is_precondition_error(self):
         c = Linearization(

@@ -130,8 +130,8 @@ def test_normalisation():
 def test_validation_messages():
     cases = [
         (lambda: WeightVector(3, (4,)), "weight 4 outside {0, ..., 3} for r=3"),
-        (lambda: WeightVector(0, ()), "cyclic order must be positive, got r=0"),
-        (lambda: BoundaryCut(5, {1}), "cut size must lie between 2 and n-2 = 3, got 1"),
+        (lambda: WeightVector(0, ()), "need r >= 1, got 0"),
+        (lambda: BoundaryCut(5, {1}), "need 2 <= cut size <= 3, got 1"),
         (lambda: SetPartition4(5, ({1}, {2}, {3}, {4})), "blocks do not partition {1, ..., 5}"),
         (lambda: CoverSpec(2, (1,)), "r=2 must divide the total branch weight 1"),
         (lambda: Tableau(1, 1, ((2, 1),)), "column (2, 1) is not strictly increasing"),

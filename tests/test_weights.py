@@ -84,8 +84,8 @@ class TestSplitLinearization:
     @pytest.mark.parametrize(
         "n1, d1, message",
         [
-            (5, 1, "n1=5 must satisfy 2 <= n1 <= n-2 = 4"),
-            (3, 2, "d1=2 must satisfy 1 <= d1 <= d-1 = 1"),
+            (5, 1, "need 2 <= n1 <= 4, got 5"),
+            (3, 2, "need 1 <= d1 <= 1, got 2"),
         ],
     )
     def test_split_point_bounds(self, n1, d1, message):
@@ -150,8 +150,8 @@ class TestPhiPsi:
         [
             ({1, 7}, "cut [1, 7] not within {1, ..., 6}"),
             ({0, 2}, "cut [0, 2] not within {1, ..., 6}"),
-            ({1}, "cut size must lie between 2 and n-2 = 4, got 1"),
-            ({1, 2, 3, 4, 5}, "cut size must lie between 2 and n-2 = 4, got 5"),
+            ({1}, "need 2 <= cut size <= 4, got 1"),
+            ({1, 2, 3, 4, 5}, "need 2 <= cut size <= 4, got 5"),
         ],
     )
     @pytest.mark.parametrize("rule", [phi_rule, psi_rule])
