@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .records import MutableRecord, Record, at_least
+from .records import MutableRecord, Record, at_least, between
 from .strata import SetPartition4, block_sums, count_fcurves, enumerate_fcurves, split_walk
 from .weights import WeightVector, phi_rule, psi_rule
 
@@ -46,8 +46,8 @@ def _check_base_input(r: int, c: Sequence[int]) -> list[int]:
     vals = sorted(map(int, c))
     if len(vals) != 4:
         raise ValueError(f"need exactly 4 weights, got {len(vals)}")
-    if vals[0] < 0 or vals[-1] > r:
-        raise ValueError(f"weights {vals} outside {{0, ..., {r}}}")
+    for e in vals:
+        between("weight", e, 0, r)
     return vals
 
 

@@ -62,12 +62,9 @@ def _blamed(flag: str, make: Callable[..., T], *args) -> T:
 
 def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(flag, f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError(flag, "empty list")
-    return values
 
 
 def _parse_rationals(flag: str, text: str) -> tuple[Fraction, ...]:
@@ -85,8 +82,6 @@ def _parse_partition(flag: str, text: str, n: int) -> SetPartition4:
         if not part:
             raise UsageError(flag, "empty block")
         blocks.append(frozenset(_parse_ints(flag, part)))
-    if len(blocks) != 4:
-        raise UsageError(flag, f"expected 4 blocks, got {len(blocks)}")
     return _blamed(flag, SetPartition4, n, tuple(blocks))
 
 
@@ -146,11 +141,6 @@ def _family(flag: str, name: str) -> BundleFamily:
         return BundleFamily(name.lower())
     except ValueError:
         raise UsageError(flag, f"unknown family {name!r}; choose cb, git, or cyc")
-
-
-def _marked_points(weights: Sequence[int]) -> None:
-    if len(weights) < 4:
-        raise UsageError("--weights", "need at least 4 marked points")
 
 
 def _emit(report: dict, table: bool) -> None:
@@ -265,7 +255,7 @@ def _cmd_degree(args) -> tuple[dict, list, bool]:
     _blamed("--r", at_least, "r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
-    _marked_points(weights)
+    _blamed("--weights", at_least, "n", len(weights), 4)
     partition = _parse_partition("--partition", args.partition, len(weights))
     deg = fcurve_degree(family, args.r, weights, partition)
     divisible = sum(weights) % args.r == 0
@@ -289,7 +279,7 @@ def _cmd_degvec(args) -> tuple[dict, Iterator[str], bool]:
     _blamed("--r", at_least, "r", args.r, 1)
     family = _family("--family", args.family)
     weights = _parse_ints("--weights", args.weights)
-    _marked_points(weights)
+    _blamed("--weights", at_least, "n", len(weights), 4)
     plan, blocks = degree_blocks(family, args.r, weights)
     # all records of one prefix come from one template, one %d per degree
     record, sep = (_DEGVEC_TABLE, "\n") if args.table else (_DEGVEC_JSON, ",\n    ")
@@ -342,7 +332,7 @@ def _cmd_verify_main(args) -> tuple[dict, list, bool]:
 def _cmd_factor_check(args) -> tuple[dict, list, bool]:
     _blamed("--r", at_least, "r", args.r, 1)
     weights = _parse_ints("--weights", args.weights)
-    _marked_points(weights)
+    _blamed("--weights", at_least, "n", len(weights), 4)
     cut = _parse_ints("--cut", args.cut)
     _blamed("--cut", BoundaryCut, len(weights), cut)
     consistent = check_git_factorization(args.r, weights, cut)
@@ -365,7 +355,7 @@ def _cmd_cover(args) -> tuple[dict, list, bool]:
             print(f"warning: {warning.message}", file=sys.stderr)
         results = [{"genus": g}]
     else:
-        _marked_points(weights)
+        _blamed("--weights", at_least, "n", len(weights), 4)
         _blamed("--split", between, "split", args.split, 2, spec.n - 2)
         data = degenerate(spec, args.split)
         _printable_genera(data.g, data.g1, data.g2)
@@ -386,13 +376,9 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
     _blamed("--d", at_least, "d", args.d, 0)
     _blamed("--k", at_least, "k", args.k, 1 if args.restrict else 0)
     content = _parse_ints("--content", args.content)
-    for x in content:
-        _blamed("--content", at_least, "content", x, 0)
-    if sum(content) != args.k * (args.d + 1):
-        raise UsageError(
-            "--content",
-            f"content sums to {sum(content)}, expected k*(d+1) = {args.k * (args.d + 1)}",
-        )
+    from .invariants import check_content, enumerate_tableaux, verify_restriction_theorem
+
+    _blamed("--content", check_content, args.d, args.k, content)
     if args.restrict:
         if args.n1 is None or args.d1 is None:
             raise UsageError("--restrict", "requires --n1 and --d1")
@@ -400,8 +386,6 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
         _blamed("--n1", between, "n1", args.n1, 2, n - 2)
         _blamed("--d1", between, "d1", args.d1, 1, args.d - 1)
         from fractions import Fraction
-
-        from .invariants import verify_restriction_theorem
 
         c = _blamed("--content", Linearization, [Fraction(x, args.k) for x in content], args.d)
         try:
@@ -426,8 +410,6 @@ def _cmd_tableaux(args) -> tuple[dict, list, bool]:
         ]
         ok = outcome.ok
     else:
-        from .invariants import enumerate_tableaux
-
         basis = enumerate_tableaux(args.d, args.k, content)
         results = [
             {

@@ -105,21 +105,16 @@ def degenerate(spec: CoverSpec, n1: int) -> DegenerationData:
 
     Produces the two side weight vectors (attaching weights reduced into
     {0, ..., r-1}), the number s of points over the node, and the three
-    genera, asserting both the gcd symmetry defining s and the additivity
-    g = g1 + g2 + s - 1; a failed assertion raises InvariantError.
+    genera, asserting the additivity g = g1 + g2 + s - 1; a failed
+    assertion raises InvariantError.
     """
     r, entries = spec.r, spec.entries
     n = spec.n
     between("n1", n1, 2, n - 2)
     left = sum(entries[:n1])
     right = sum(entries[n1:])
-    s_left = gcd(left, r)
-    s_right = gcd(right, r)
-    if s_left != s_right:
-        raise InvariantError(
-            f"gcd symmetry failed: gcd({left}, {r}) = {s_left} != gcd({right}, {r}) = {s_right}"
-        )
-    s = s_left
+    # r divides left + right (CoverSpec), so gcd(left, r) = gcd(right, r)
+    s = gcd(left, r)
     c_prime = entries[:n1] + (right % r,)
     c_double_prime = entries[n1:] + (left % r,)
     g = _genus_value(r, entries)

@@ -67,6 +67,14 @@ class Tableau(Record):
         return tuple(counts)
 
 
+def check_content(d: int, k: int, content: Sequence[int]) -> None:
+    """The content of a (d+1) x k tableau: counts >= 0 that sum to k(d+1)."""
+    for x in content:
+        at_least("content", x, 0)
+    if sum(content) != k * (d + 1):
+        raise ValueError(f"content sums to {sum(content)}, expected k*(d+1) = {k * (d + 1)}")
+
+
 def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
     """All semistandard (d+1) x k fillings where entry i appears content[i-1] times.
 
@@ -79,12 +87,7 @@ def enumerate_tableaux(d: int, k: int, content: Sequence[int]) -> list[Tableau]:
     at_least("k", k, 0)
     n = len(content)
     remaining = [int(x) for x in content]
-    if any(x < 0 for x in remaining):
-        raise ValueError(f"content must be nonnegative, got {content}")
-    if sum(remaining) != k * (d + 1):
-        raise ValueError(
-            f"content sums to {sum(remaining)}, expected k*(d+1) = {k * (d + 1)}"
-        )
+    check_content(d, k, remaining)
     height = d + 1
     size = k * height
     if size == 0:
@@ -192,9 +195,6 @@ def tableau_polynomial(columns: Sequence[Column], matrix: Sequence[Sequence[Poly
 
 def evaluate_tableau(t: Tableau, n: int) -> Poly:
     """The tableau function on the generic coordinate matrix of n points."""
-    for col in t.columns:
-        if col[-1] > n:
-            raise ValueError(f"column {col} has entries beyond n={n}")
     return tableau_polynomial(t.columns, generic_matrix(t.d, n))
 
 
@@ -376,12 +376,10 @@ def _mu_columns(
     minor.  A narrow column gives det(first block without its row d1) *
     det(second block); its left factor carries e_d1 last, on the diagonal,
     which gives sign +1.
+
+    t has height d1+d2+1 and entries in 1..n1+n2: its one caller
+    enumerates it from a content of that length.
     """
-    if t.d != d1 + d2:
-        raise ValueError(f"tableau height {t.d + 1} does not match d1+d2+1 = {d1 + d2 + 1}")
-    for col in t.columns:
-        if col[-1] > n1 + n2:
-            raise ValueError(f"column {col} has entries beyond n = {n1 + n2}")
     left: list[Column] = []
     right_narrow: list[Column] = []
     right_wide: list[Column] = []

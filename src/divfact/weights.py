@@ -43,8 +43,7 @@ class WeightVector(Record):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "entries", entries)
         for e in entries:
-            if not 0 <= e <= r:
-                raise ValueError(f"weight {e} outside {{0, ..., {r}}} for r={r}")
+            between("weight", e, 0, r)
 
     def __len__(self) -> int:
         return len(self.entries)

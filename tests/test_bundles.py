@@ -50,7 +50,7 @@ class TestBaseFormulas:
             deg4_cb(3, (1, 1, 1))
         # only the smallest weight is bad, so the check must look at it
         for deg4 in (deg4_cb, deg4_git, deg4_cyc):
-            with pytest.raises(ValueError, match=r"weights \[-1, 1, 1, 1\] outside"):
+            with pytest.raises(ValueError, match="need 0 <= weight <= 3, got -1"):
                 deg4(3, (-1, 1, 1, 1))
 
     @given(st.integers(2, 8), st.data())
@@ -117,6 +117,23 @@ def test_git_counts_tableaux():
         expected = len(enumerate_tableaux(1, r, c)) - 1
         assert deg4_git(r, c) == expected, (r, c)
         assert bundles._DERIVATIONS[BundleFamily.GIT](r, sorted(c)) == expected, (r, c)
+
+
+def test_git_hilbert_function():
+    # h(m) = 1 + m * deg for the 2 x mr tableaux of content mc, so each step
+    # h(m + 1) - h(m) is the degree, for m = 1, 2, 3, on every c in
+    # {0, ..., r}^4 with |c| = 2r, r <= 6
+    cases = [
+        (r, c, m)
+        for r in range(1, 7)
+        for c in product(range(r + 1), repeat=4)
+        if sum(c) == 2 * r
+        for m in (1, 2, 3)
+    ]
+    assert len(cases) == 1593
+    for r, c, m in cases:
+        count = len(enumerate_tableaux(1, m * r, tuple(m * x for x in c)))
+        assert count == 1 + m * deg4_git(r, c), (r, c, m)
 
 
 class TestFCurveDegree:
@@ -340,6 +357,8 @@ class TestGitFactorization:
     def test_examples(self):
         assert check_git_factorization(2, (1, 1, 1, 1), [1, 2])
         assert check_git_factorization(4, (2, 1, 3, 3, 1, 2), [1, 2, 3])
+        # the same cut named from the other side, whose outside holds point 1
+        assert check_git_factorization(4, (2, 1, 3, 3, 1, 2), (4, 5, 6))
 
     def test_indivisible_sum_trivial_on_both_sides(self):
         assert check_git_factorization(3, (1, 1, 1, 1), [1, 2])

@@ -22,10 +22,13 @@ from divfact.bundles import (
     BundleFamily,
     MainTheoremReport,
     Mismatch,
+    check_git_factorization,
+    deg4_cb,
     degree_vector,
     fcurve_degree,
 )
 from divfact.strata import SetPartition4, enumerate_fcurves
+from divfact.weights import WeightVector
 
 
 def run(capsys, *argv):
@@ -81,7 +84,7 @@ class TestDegree:
             ["degree", "--family", "cb", "--r", "3", "--weights", "1,2,0", "--partition", "1/2/3/4"]
         )
         assert code == 2
-        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+        assert capsys.readouterr() == ("", "error: --weights: need n >= 4, got 3\n")
 
 
 def degvec_reference(family, r, weights):
@@ -299,7 +302,7 @@ class TestFactorCheck:
     def test_too_few_weights_blames_weights(self, capsys):
         code = cli.main(["factor-check", "--r", "2", "--weights", "1,1,1", "--cut", "1,2"])
         assert code == 2
-        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+        assert capsys.readouterr() == ("", "error: --weights: need n >= 4, got 3\n")
 
 
 class TestCover:
@@ -365,7 +368,7 @@ class TestCover:
     def test_split_of_too_few_weights_blames_weights(self, capsys):
         code = cli.main(["cover", "--r", "3", "--weights", "1,2", "--split", "1"])
         assert code == 2
-        assert capsys.readouterr() == ("", "error: --weights: need at least 4 marked points\n")
+        assert capsys.readouterr() == ("", "error: --weights: need n >= 4, got 2\n")
         # without --split, a cover of fewer points still has a genus
         code, report = run_json(capsys, "cover", "--r", "3", "--weights", "1,2")
         assert (code, report["results"]) == (0, [{"genus": 0}])
@@ -579,6 +582,40 @@ class TestBlamedFlag:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: ")
+
+
+class TestOneTextPerRule:
+    """A rule the library states is reported in its own text, against the flag at fault."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, rule",
+        [
+            (["tableaux", "--d", "1", "--k", "2", "--content=-1,3,1,1"], "--content",
+             lambda: invariants.enumerate_tableaux(1, 2, (-1, 3, 1, 1))),
+            (["tableaux", "--d", "1", "--k", "2", "--content", "1,1,1"], "--content",
+             lambda: invariants.enumerate_tableaux(1, 2, (1, 1, 1))),
+            (["degree", "--family", "cb", "--r", "3", "--weights", "1,2,0", "--partition", "1/2/3/4"],
+             "--weights", lambda: SetPartition4(3, ({1}, {2}, {3}, {4}))),
+            (["factor-check", "--r", "2", "--weights", "1,1,1", "--cut", "1,2"], "--weights",
+             lambda: check_git_factorization(2, (1, 1, 1), (1, 2))),
+            (["degree", "--family", "cb", "--r", "3", "--weights", "1,1,1,0", "--partition", "1/2/3"],
+             "--partition", lambda: SetPartition4(4, ({1}, {2}, {3}))),
+        ],
+        ids=["negative content", "content sum", "degree of 3 weights", "factor-check of 3 weights",
+             "3 blocks"],
+    )
+    def test_cli_prints_the_library_text(self, capsys, argv, flag, rule):
+        with pytest.raises(ValueError) as caught:
+            rule()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag}: {caught.value}\n")
+
+    def test_weight_window_has_one_text(self):
+        with pytest.raises(ValueError) as vector:
+            WeightVector(3, (4,))
+        with pytest.raises(ValueError) as four_point:
+            deg4_cb(3, (0, 1, 1, 4))
+        assert str(vector.value) == str(four_point.value)
 
 
 class TestLargeR:

@@ -129,7 +129,7 @@ def test_normalisation():
 
 def test_validation_messages():
     cases = [
-        (lambda: WeightVector(3, (4,)), "weight 4 outside {0, ..., 3} for r=3"),
+        (lambda: WeightVector(3, (4,)), "need 0 <= weight <= 3, got 4"),
         (lambda: WeightVector(0, ()), "need r >= 1, got 0"),
         (lambda: BoundaryCut(5, {1}), "need 2 <= cut size <= 3, got 1"),
         (lambda: SetPartition4(5, ({1}, {2}, {3}, {4})), "blocks do not partition {1, ..., 5}"),
